@@ -284,7 +284,10 @@ def cmd_certify(args: dict) -> int:
                 _fmt(r) for r in roots if r >= 1.0
             ]
         if args["rigorous"]:
-            block["certified"] = certify_signs_rigorous(d)
+            certified = certify_signs_rigorous(d)
+            if any(claims[name]["asserted"] and not ok for name, ok in certified.items()):
+                claim_failed = True
+            block["certified"] = certified
         blocks.append(block)
     decay = []
     for d in range(max(lo, 5), hi + 1):

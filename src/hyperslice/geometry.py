@@ -228,8 +228,3 @@ def _spanning_coords(verts) -> int:
     first = verts[0]
     return sum(any(v[i] != first[i] for v in verts) for i in range(len(first)))
 
-
-def positive_coordinates(spec: SectionSpec) -> np.ndarray:
-    """Coordinates of the direction above the zero threshold."""
-    a = spec.direction
-    return a[a > ZERO_COORD_TOL]

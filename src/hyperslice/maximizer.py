@@ -352,11 +352,3 @@ def decay_inequality_check(d: int, t: float):
     rhs = math.exp(log_rhs)
     return lhs, rhs, log_lhs > log_rhs
 
-
-def diagonal_volume_check(d: int, t: float):
-    """Direct (unrewritten) comparison of consecutive-dimension diagonal
-    volumes at the same radius; mirrors decay_inequality_check."""
-    return (
-        closed_form_max(d, t),
-        closed_form_max(d - 1, t),
-    )

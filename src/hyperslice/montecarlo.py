@@ -1,10 +1,17 @@
 """Brute-force Monte Carlo oracles for half-space and section volumes.
 
 These estimators share no code with the formula-based routes and exist to
-ground them.  Randomness comes from counter-based Philox streams keyed by the
-seed, with one jumped stream per batch; batches may run in parallel but are
-reduced as exact integer hit counts in a fixed order, so estimates are
-bit-identical for a given (spec, n, seed) regardless of scheduling.
+ground them.  Both sample only the smallest coordinate box that holds the
+cut: a point with a.x <= b has a_i x_i <= b, so x_i <= min(1, b/a_i).  The
+section estimator projects the section onto the coordinates other than
+k = argmax a_i, where it becomes the slab b - a_k <= a'.x' <= b of that box,
+and scales the hit fraction by vol(box) * ||a|| / a_k (the area factor of
+the projection).
+
+Randomness comes from PCG64 streams seeded by the seed, one stream per batch
+jumped by the batch index; batches may run in parallel but are reduced as
+exact integer hit counts in a fixed order, so estimates are bit-identical
+for a given (spec, n, seed) whatever HYPERSLICE_THREADS is.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ _BATCH = 1 << 16
 
 
 def _batches(seed: int, n: int):
-    base = np.random.Philox(key=seed)
+    base = np.random.PCG64(seed)
     out, offset, index = [], 0, 0
     while offset < n:
         size = min(_BATCH, n - offset)
@@ -30,74 +37,68 @@ def _batches(seed: int, n: int):
     return out
 
 
-def mc_halfspace_volume(spec: SectionSpec, n: int, seed: int = 0):
-    """Fraction of n uniform cube points with a.x <= b.
+def _box_widths(a: np.ndarray, b: float) -> np.ndarray:
+    """Side lengths min(1, b/a_i) of the box holding {x in cube : a.x <= b}
+    for b >= 0; a zero coordinate gets width 1."""
+    w = np.ones(a.size)
+    long = a > b
+    w[long] = b / a[long]
+    return w
 
-    Returns (estimate, stderr) with stderr = sqrt(p(1-p)/n).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    a = np.ascontiguousarray(spec.direction)
-    b = spec.offset
-    d = spec.dim
+
+def _count_hits(coef: np.ndarray, lo: float, hi: float, n: int, seed: int) -> int:
+    """Number of u uniform in [0,1)^m, n draws, with lo <= coef.u <= hi."""
 
     def count(batch):
         bits, size = batch
-        x = np.empty((size, d))
-        np.random.Generator(bits).random(out=x)
-        return int(np.count_nonzero(x @ a <= b))
+        u = np.empty((coef.size, size))
+        np.random.Generator(bits).random(out=u)
+        y = coef @ u
+        return int(np.count_nonzero((y >= lo) & (y <= hi)))
 
-    hits = sum(ordered_map(count, _batches(seed, n)))
+    return sum(ordered_map(count, _batches(seed, n)))
+
+
+def _scaled(hits: int, n: int, scale: float):
     p = hits / n
-    return p, math.sqrt(p * (1.0 - p) / n)
+    return p * scale, scale * math.sqrt(p * (1.0 - p) / n)
+
+
+def mc_halfspace_volume(spec: SectionSpec, n: int, seed: int = 0):
+    """Estimate of the d-volume of {x in [0,1]^d : a.x <= b} from n uniform
+    points of the box that holds it.
+
+    Returns (estimate, stderr) with stderr = vol(box) * sqrt(p(1-p)/n) for
+    the hit fraction p; exactly (0.0, 0.0) when b <= 0, where the box has
+    no volume.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    b = spec.offset
+    if b < 0.0:
+        return 0.0, 0.0
+    w = _box_widths(spec.direction, b)
+    hits = _count_hits(spec.direction * w, -math.inf, b, n, seed)
+    return _scaled(hits, n, math.prod(w))
 
 
 def mc_section_volume(spec: SectionSpec, n: int, seed: int = 0):
-    """Hit-or-miss estimate of the (d-1)-volume of the section.
+    """Estimate of the (d-1)-volume of the section a.x = b from n uniform
+    points of the box that holds its projection along e_k, k = argmax a_i.
 
-    Points are drawn uniformly from the disk of radius sqrt(d)/2 inside the
-    hyperplane, centered at its nearest point to the cube center; that disk
-    always covers the section.  The estimate is the in-cube fraction scaled
-    by the disk's (d-1)-volume.
+    Returns (estimate, stderr) with stderr = scale * sqrt(p(1-p)/n) for the
+    hit fraction p and scale = vol(box) * ||a|| / a_k.  It is exactly
+    (0.0, 0.0) when b < 0, and when b == 0 with every a_i > 0; at b == 0 a
+    direction with zero coordinates cuts a face, whose area every draw hits.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = spec.dim
+    b = spec.offset
+    if b < 0.0:
+        return 0.0, 0.0
     a = spec.direction
-    frame = np.ascontiguousarray(_hyperplane_frame(a))
-    foot = (np.full(d, 0.5) - spec.radius * a)[:, None]
-    radius = math.sqrt(d) / 2.0
-    disk_volume = (
-        math.pi ** ((d - 1) / 2.0) / math.gamma((d + 1) / 2.0) * radius ** (d - 1)
-    )
-
-    def count(batch):
-        bits, size = batch
-        rng = np.random.Generator(bits)
-        z = np.empty((d - 1, size))
-        rng.standard_normal(out=z)
-        scale = radius * rng.random(size) ** (1.0 / (d - 1))
-        scale /= np.sqrt(np.einsum("ij,ij->j", z, z))
-        z *= scale
-        pts = frame @ z
-        pts += foot
-        ok = (pts >= 0.0) & (pts <= 1.0)
-        return int(np.count_nonzero(np.logical_and.reduce(ok, axis=0)))
-
-    hits = sum(ordered_map(count, _batches(seed, n)))
-    p = hits / n
-    return p * disk_volume, disk_volume * math.sqrt(p * (1.0 - p) / n)
-
-
-def _hyperplane_frame(a: np.ndarray) -> np.ndarray:
-    """d x (d-1) orthonormal basis of the hyperplane through the origin
-    orthogonal to a, from the Householder reflection sending e1 to -a."""
-    d = a.size
-    w = a.astype(float).copy()
-    w[0] += 1.0
-    h = np.eye(d) - 2.0 * np.outer(w, w) / float(w @ w)
-    frame = h[:, 1:]
-    residual = float(np.max(np.abs(frame.T @ a)))
-    if residual > 1e-10:
-        raise RuntimeError("hyperplane frame construction failed")
-    return frame
+    k = int(np.argmax(a))
+    rest = np.delete(a, k)
+    w = _box_widths(rest, b)
+    hits = _count_hits(rest * w, b - a[k], b, n, seed)
+    return _scaled(hits, n, math.prod(w) * float(np.linalg.norm(a)) / a[k])

@@ -39,17 +39,6 @@ from conftest import corner_spec, edge_spec, rng_for, random_unit_direction, smo
 _C1_MC_SAMPLES = 10**6
 
 
-def _limit_blas_threads():
-    # skinny matmuls here lose badly to BLAS thread sync; one thread per
-    # process is fastest and keeps the workers from oversubscribing
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=1)
-    except ImportError:
-        pass
-
-
 def _c1_run_one(params):
     d, coords, t, mc_seed = params
     spec = make_section_spec(np.array(coords), t)
@@ -79,10 +68,9 @@ def test_01_cross_method_agreement():
             t = float(rng.uniform(0.0, 1.0)) * float(np.sum(a)) / 2
             jobs.append((d, tuple(map(float, a)), t, int(rng.integers(2**31))))
     workers = min(4, os.cpu_count() or 1)
-    _limit_blas_threads()
     if workers > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_limit_blas_threads) as pool:
+        with ctx.Pool(workers) as pool:
             results = pool.map(_c1_run_one, jobs, chunksize=16)
     else:
         results = [_c1_run_one(job) for job in jobs]

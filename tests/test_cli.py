@@ -128,6 +128,27 @@ class TestCertifyCommand:
         for block in json.loads(out)["certificates"]:
             assert all(block["certified"].values())
 
+    def test_rigorous_failure_exits_claim_failed(self, capsys, monkeypatch):
+        # a real rigorous failure needs d >= 24 (about 27 s), so fake one
+        fake = {"lead_coeff": True, "slope_at_one": False, "value_at_one": True}
+        monkeypatch.setattr("hyperslice.cli.certify_signs_rigorous", lambda d: dict(fake))
+        code, out, _ = run_cli(
+            capsys, "certify", "--d-range", "6:6", "--grid", "500", "--rigorous"
+        )
+        assert code == 4
+        block = json.loads(out)["certificates"][0]
+        assert block["certified"] == fake
+        assert all(c["ok"] for c in block["claims"].values())
+
+    def test_rigorous_failure_of_unasserted_claim_passes(self, capsys, monkeypatch):
+        # at d = 4 only lead_coeff is asserted
+        fake = {"lead_coeff": True, "slope_at_one": False, "value_at_one": False}
+        monkeypatch.setattr("hyperslice.cli.certify_signs_rigorous", lambda d: dict(fake))
+        code, _, _ = run_cli(
+            capsys, "certify", "--d-range", "4:4", "--grid", "500", "--rigorous"
+        )
+        assert code == 0
+
     def test_bad_range(self, capsys):
         code, _, _ = run_cli(capsys, "certify", "--d-range", "9:4")
         assert code == 2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hyperslice.geometry import diagonal_section_spec, make_section_spec
-from hyperslice.montecarlo import _hyperplane_frame, mc_halfspace_volume, mc_section_volume
-from hyperslice.vertexsum import halfspace_volume, section_volume_vertex_sum
+from hyperslice.montecarlo import mc_halfspace_volume, mc_section_volume
+from hyperslice.vertexsum import corner_volume, halfspace_volume, section_volume_vertex_sum
 
 from conftest import rng_for, random_unit_direction
 
@@ -57,14 +57,67 @@ class TestSectionEstimator:
         assert mc_section_volume(spec, N, seed=3) != mc_section_volume(spec, N, seed=4)
 
 
-def test_frame_is_orthonormal_complement():
-    rng = rng_for(19)
-    for d in (2, 3, 6, 11):
-        a = random_unit_direction(rng, d)
-        frame = _hyperplane_frame(a)
-        assert frame.shape == (d, d - 1)
-        assert np.allclose(frame.T @ frame, np.eye(d - 1), atol=1e-12)
-        assert np.max(np.abs(frame.T @ a)) <= 1e-12
+class TestBoxSampler:
+    """Specs where the sampling box degenerates or shrinks."""
+
+    @pytest.mark.parametrize(
+        "a, t",
+        [
+            ([1, 0, 1], 0.3),           # zero coordinate: width 1, no division
+            ([0.6, 1e-12, 0.8], 0.2),   # just above ZERO_COORD_TOL
+            ([0.6, 0.8], 0.1),          # d = 2: a segment
+            ([1, 1, 0.5], 0.4),         # tied argmax
+            ([0.5, 1, 1, 0.7], 0.3),    # tied argmax, not the first coordinate
+        ],
+    )
+    def test_against_vertex_sum(self, a, t):
+        # with one free coordinate (d = 2, or zero coordinates) every box
+        # point hits and the section estimate is exact with se = 0; a 1e-12
+        # coordinate leaves a miss region of relative size ~1e-12 that N
+        # draws do not see, hence the small absolute allowance
+        spec = make_section_spec(a, t)
+        est, se = mc_section_volume(spec, N, seed=5)
+        assert abs(est - section_volume_vertex_sum(spec).value) <= 3 * se + 1e-9
+        est, se = mc_halfspace_volume(spec, N, seed=6)
+        assert abs(est - halfspace_volume(spec).value) <= 3 * se + 1e-9
+
+    def test_shallow_corner_cut(self):
+        # b = 1e-3: the box shrinks with b, so a fraction 1/(d-1)! of the
+        # draws still hits and the relative stderr stays small
+        a = np.array([0.3, 0.5, 0.4, 0.7]) / math.sqrt(0.99)
+        spec = make_section_spec(a, float(np.sum(a)) / 2 - 1e-3)
+        truth = corner_volume(spec)
+        est, se = mc_section_volume(spec, N, seed=2)
+        assert abs(est - truth) <= 3 * se
+        assert se < 0.01 * truth
+
+    @pytest.mark.parametrize(
+        "spec",
+        [make_section_spec([1, 1, 1], 1.0), diagonal_section_spec(4, 1.0)],
+        ids=["b<0", "b=0"],
+    )
+    def test_nonpositive_offset_exact_zero(self, spec):
+        assert spec.offset <= 0.0
+        assert mc_section_volume(spec, N, seed=0) == (0.0, 0.0)
+        assert mc_halfspace_volume(spec, N, seed=0) == (0.0, 0.0)
+
+    def test_zero_offset_face(self):
+        # b == 0 with a zero coordinate: the section is the face x_0 = 0
+        spec = make_section_spec([1, 0, 0], 0.5)
+        assert spec.offset == 0.0
+        assert section_volume_vertex_sum(spec).value == 1.0
+        assert mc_section_volume(spec, N, seed=0) == (1.0, 0.0)
+        assert mc_halfspace_volume(spec, N, seed=0) == (0.0, 0.0)
+
+    def test_bit_identical_across_thread_counts(self, monkeypatch):
+        spec = make_section_spec([0.2, 0.5, 0.9, 0.1, 0.4], 0.3)
+        n = 5 * (1 << 16) + 123
+        outputs = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("HYPERSLICE_THREADS", threads)
+            outputs.append((mc_section_volume(spec, n, seed=11),
+                            mc_halfspace_volume(spec, n, seed=11)))
+        assert outputs[0] == outputs[1]
 
 
 def test_consistency_against_formulas():
