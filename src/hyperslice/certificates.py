@@ -13,7 +13,8 @@ leading coefficient c2, the slope 2*c2 + c1 of the quadratic at x = 1, and
 its value c2 + c1 + c0 at x = 1 must all be negative.  This module evaluates
 those quantities accurately over dense grids (all three vanish to high order
 as y -> 1, so they are also expanded exactly in powers of s = 1 - y), and can
-certify their signs rigorously with directed-rounding interval arithmetic.
+certify their signs rigorously from the exact Bernstein form of those
+integer expansions on [0, 1].
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .intervals import Interval, horner
 
 #: Hypothesis thresholds: the dimension from which each sign condition holds.
 CLAIM_THRESHOLDS = {"lead_coeff": 4, "slope_at_one": 6, "value_at_one": 6}
+
+#: Sub-boxes of [0, 1] the Bernstein test may examine per claim before it
+#: gives up.  Every claim of d = 6..200 certifies in one box.
+MAX_BOXES = 1024
 
 
 @dataclass(frozen=True)
@@ -204,30 +208,29 @@ def quad_roots(c: QuadCoeffs) -> list[float]:
     return sorted((q / c2, c0 / q))
 
 
-def certify_signs_rigorous(d: int, max_boxes: int = 200_000, min_width: float = 1e-9):
-    """Interval-arithmetic certificate that each claimed quantity is negative
-    on all of y in (0,1).
+def certify_signs_rigorous(d: int):
+    """Exact certificate that each claimed quantity is negative on all of
+    y in (0,1).
 
     Each quantity is an exact integer polynomial in s = 1 - y vanishing at
-    s = 0; dividing out the leading power of s leaves a polynomial that must
-    be negative on the closed box [0,1], which adaptive bisection with
-    outward-rounded Horner evaluation can establish with finitely many boxes.
+    s = 0; dividing out the endpoint roots leaves a polynomial that must be
+    negative on the closed box [0,1].  Its Bernstein coefficients on a box
+    bound it there (the polynomial is their convex combination), so all of
+    them negative certifies the box; otherwise the box is halved by exact
+    de Casteljau steps, in integers throughout.
 
-    Returns {claim: bool}; a claim is only certified when every box upper
-    bound is strictly negative within the box budget.
+    Returns {claim: bool}; a claim is only certified when every box is
+    certified within MAX_BOXES boxes.
     """
-    results = {}
-    for name, poly in _claim_polys(d).items():
-        results[name] = _certify_negative(poly, max_boxes, min_width)
-    return results
+    return {name: _certify_negative(poly) for name, poly in _claim_polys(d).items()}
 
 
 def _strip_endpoint_roots(coeffs):
     """Divide out exact s^k and (1-s)^m factors from an integer polynomial.
 
     The sign on the open interval (0,1) is unchanged, and the quotient no
-    longer vanishes at either endpoint, so interval bisection of the closed
-    box [0,1] can terminate.
+    longer vanishes at either endpoint, so subdivision of the closed box
+    [0,1] can terminate.
     """
     k = 0
     while k < len(coeffs) and coeffs[k] == 0:
@@ -244,26 +247,55 @@ def _strip_endpoint_roots(coeffs):
     return reduced
 
 
-def _certify_negative(poly, max_boxes: int, min_width: float) -> bool:
+def _bernstein_integers(coeffs):
+    """Positive integer multiples, one common factor, of the Bernstein
+    coefficients b_j of sum_k coeffs[k] s^k on [0, 1].
+
+    S_j = sum_{k<=j} coeffs[k] C(n-k, j-k) equals C(n, j) b_j; scaling each
+    by lcm_j C(n, j) / C(n, j) gives the common factor.
+    """
+    n = len(coeffs) - 1
+    binoms = [math.comb(n, j) for j in range(n + 1)]
+    scale = math.lcm(*binoms)
+    return [
+        sum(c * math.comb(n - k, j - k) for k, c in enumerate(coeffs[: j + 1]))
+        * (scale // binoms[j])
+        for j in range(n + 1)
+    ]
+
+
+def _halves(b):
+    """Bernstein coefficients of the two halves of a box, by de Casteljau
+    at 1/2 on integers: pairwise sums instead of means, so row r carries a
+    factor 2^r, which the shift by n - r evens out to 2^n for both halves."""
+    n = len(b) - 1
+    left, right = [b[0] << n], [b[-1] << n]
+    row = b
+    for r in range(1, n + 1):
+        row = [x + y for x, y in zip(row, row[1:])]
+        left.append(row[0] << (n - r))
+        right.append(row[-1] << (n - r))
+    return left, right[::-1]
+
+
+def _certify_negative(poly) -> bool:
+    """True when the integer polynomial is negative on all of (0,1)."""
     reduced = _strip_endpoint_roots(list(poly))
     if not reduced:
         return False  # identically zero: not strictly negative
     if reduced[0] >= 0 or sum(reduced) >= 0:
-        # positive value at s = 0 or s = 1 (exact integer checks)
+        # nonnegative value at s = 0 or s = 1 (exact integer checks)
         return False
-    icoeffs = [Interval.from_int(c) for c in reduced]
-    stack = [Interval(0.0, 1.0)]
+    stack = [_bernstein_integers(reduced)]
     boxes = 0
     while stack:
-        box = stack.pop()
+        b = stack.pop()
         boxes += 1
-        if boxes > max_boxes:
+        if boxes > MAX_BOXES:
             return False
-        if horner(icoeffs, box).hi < 0.0:
+        if b[0] >= 0 or b[-1] >= 0:
+            return False  # the end coefficients are values at the box ends
+        if max(b) < 0:
             continue
-        if box.width < min_width:
-            return False
-        mid = box.midpoint()
-        stack.append(Interval(box.lo, mid))
-        stack.append(Interval(mid, box.hi))
+        stack.extend(_halves(b))
     return True

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inclusive range lo:hi")
     p.add_argument("--grid", type=int, default=sup, help="uniform y-grid size")
     p.add_argument("--rigorous", action="store_true", default=sup,
-                   help="also run interval-arithmetic certification")
+                   help="also certify exactly from the Bernstein form")
     p.add_argument("--config", type=str, default=sup)
 
     p = sub.add_parser("scan", help="CSV sweep over a radius grid")

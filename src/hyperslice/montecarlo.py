@@ -60,25 +60,36 @@ def _count_hits(coef: np.ndarray, lo: float, hi: float, n: int, seed: int) -> in
 
 
 def _scaled(hits: int, n: int, scale: float):
-    p = hits / n
-    return p * scale, scale * math.sqrt(p * (1.0 - p) / n)
+    """Estimate p * scale for the hit fraction p = hits/n, and its stderr.
+
+    The stderr takes p clamped to [1/n, 1 - 1/n]: with every draw a hit (or
+    none), sqrt(p(1-p)/n) would read 0 although the set's share of the box
+    is only known to about 1/n.
+    """
+    q = min(max(hits, 1), n - 1) / n
+    return hits / n * scale, scale * math.sqrt(q * (1.0 - q) / n)
 
 
 def mc_halfspace_volume(spec: SectionSpec, n: int, seed: int = 0):
     """Estimate of the d-volume of {x in [0,1]^d : a.x <= b} from n uniform
     points of the box that holds it.
 
-    Returns (estimate, stderr) with stderr = vol(box) * sqrt(p(1-p)/n) for
-    the hit fraction p; exactly (0.0, 0.0) when b <= 0, where the box has
-    no volume.
+    Returns (estimate, stderr) with stderr = vol(box) * sqrt(q(1-q)/n) for
+    the hit fraction p clamped to q in [1/n, 1 - 1/n].  It is exactly
+    (0.0, 0.0) when b < 0, and exactly (vol(box), 0.0), without sampling,
+    when the far corner of the box satisfies a.x <= b, so that every box
+    point does.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     b = spec.offset
     if b < 0.0:
         return 0.0, 0.0
-    w = _box_widths(spec.direction, b)
-    hits = _count_hits(spec.direction * w, -math.inf, b, n, seed)
+    a = spec.direction
+    w = _box_widths(a, b)
+    if math.fsum(a * w) <= b:
+        return math.prod(w), 0.0
+    hits = _count_hits(a * w, -math.inf, b, n, seed)
     return _scaled(hits, n, math.prod(w))
 
 
@@ -86,10 +97,13 @@ def mc_section_volume(spec: SectionSpec, n: int, seed: int = 0):
     """Estimate of the (d-1)-volume of the section a.x = b from n uniform
     points of the box that holds its projection along e_k, k = argmax a_i.
 
-    Returns (estimate, stderr) with stderr = scale * sqrt(p(1-p)/n) for the
-    hit fraction p and scale = vol(box) * ||a|| / a_k.  It is exactly
-    (0.0, 0.0) when b < 0, and when b == 0 with every a_i > 0; at b == 0 a
-    direction with zero coordinates cuts a face, whose area every draw hits.
+    Returns (estimate, stderr) with stderr = scale * sqrt(q(1-q)/n) for the
+    hit fraction p clamped to q in [1/n, 1 - 1/n], and
+    scale = vol(box) * ||a|| / a_k.  It is exactly (0.0, 0.0) when b < 0,
+    and exactly (scale, 0.0), without sampling, when every box point hits:
+    b - a_k <= 0 and the far corner has a'.x' <= b.  That covers b == 0,
+    where the box is empty (scale 0) when every a_i > 0 and is the face of
+    the zero coordinates otherwise.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -100,5 +114,8 @@ def mc_section_volume(spec: SectionSpec, n: int, seed: int = 0):
     k = int(np.argmax(a))
     rest = np.delete(a, k)
     w = _box_widths(rest, b)
+    scale = math.prod(w) * float(np.linalg.norm(a)) / a[k]
+    if b - a[k] <= 0.0 and math.fsum(rest * w) <= b:
+        return scale, 0.0
     hits = _count_hits(rest * w, b - a[k], b, n, seed)
-    return _scaled(hits, n, math.prod(w) * float(np.linalg.norm(a)) / a[k])
+    return _scaled(hits, n, scale)

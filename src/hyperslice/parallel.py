@@ -1,9 +1,10 @@
-"""Worker-pool sizing shared by the batch-parallel routines.
+"""Worker-pool sizing for the Monte Carlo batches.
 
 The HYPERSLICE_THREADS environment variable bounds parallelism; when unset,
-a small pool sized to the machine is used.  All parallel call sites reduce
-their results in a fixed order (or over exact integer counts), so thread
-scheduling never changes an output bit.
+a small pool sized to the machine is used.  The batches' NumPy kernels
+release the interpreter lock, so threads help there; the results are
+reduced as exact integer counts in a fixed order, so thread scheduling
+never changes an output bit.
 """
 
 from __future__ import annotations

@@ -151,8 +151,8 @@ def test_05_decay_inequality():
 
 def test_06_sign_certificates():
     """All three sign conditions hold on dense grids for d in {6..40}; the
-    leading coefficient alone already for d in {4,5}; interval arithmetic
-    certifies d in {6..12} rigorously."""
+    leading coefficient alone already for d in {4,5}; the exact Bernstein
+    form certifies d in {6..12} and {24, 30, 40, 60, 120} rigorously."""
     grid = default_y_grid(10_000)
     for d in range(6, 41):
         rep = sign_certificates(d, grid)
@@ -161,9 +161,10 @@ def test_06_sign_certificates():
         assert rep.max_value_at_one < 0, d
     for d in (4, 5):
         assert sign_certificates(d, grid).max_lead_coeff < 0, d
-    for d in range(6, 13):
+    for d in (*range(6, 13), 24, 30, 40, 60, 120):
         assert all(certify_signs_rigorous(d).values()), d
-    print("\nACCEPTANCE 06 sign certificates: PASS (grids d=6..40, rigorous d=6..12)")
+    print("\nACCEPTANCE 06 sign certificates: PASS "
+          "(grids d=6..40, rigorous d=6..12, 24, 30, 40, 60, 120)")
 
 
 def test_07_d5_quadratic_roots():

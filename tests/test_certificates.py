@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hyperslice import certificates
 from hyperslice.certificates import (
     CLAIM_THRESHOLDS,
-    _claim_polys,
+    _bernstein_integers,
+    _certify_negative,
+    _halves,
     certify_signs_rigorous,
     default_y_grid,
     quad_coeffs,
@@ -13,7 +16,6 @@ from hyperslice.certificates import (
     sign_certificates,
 )
 from hyperslice.errors import InvalidInputError
-from hyperslice.intervals import Interval, horner
 
 from conftest import rng_for
 
@@ -167,40 +169,61 @@ class TestRigorousCertification:
             "lead_coeff": 4, "slope_at_one": 6, "value_at_one": 6
         }
 
-    def test_interval_enclosures_contain_exact_values(self):
+    def test_certifies_through_d120(self):
+        for d in range(13, 121):
+            assert all(certify_signs_rigorous(d).values()), d
+
+    def test_subdivision_certifies_negative_polynomial(self):
+        # -5 + 18s - 18s^2 peaks at -1/2 (s = 1/2), but its middle Bernstein
+        # coefficient -5 + 9 = 4 is positive, so one box does not suffice
+        assert _certify_negative((-5, 18, -18))
+
+    def test_interior_positive_region_not_certified(self, monkeypatch):
+        # -5 + 22s - 22s^2 is 1/2 at s = 1/2, negative at both ends; the
+        # midpoint value is an end coefficient of both halves, so the test
+        # stops after one subdivision instead of spending its box budget
+        calls = []
+
+        def counted(b):
+            calls.append(b)
+            return _halves(b)
+
+        monkeypatch.setattr(certificates, "_halves", counted)
+        assert not _certify_negative((-5, 22, -22))
+        assert len(calls) == 1
+
+    def test_halves_match_substituted_polynomials(self):
+        # 2^n p(s/2) and 2^n p((1+s)/2) have the halves' Bernstein
+        # coefficients on [0, 1], with the same common factor
+        rng = rng_for(19)
+        for _ in range(40):
+            p = [int(c) for c in rng.integers(-50, 51, size=int(rng.integers(1, 9)))]
+            n = len(p) - 1
+            low = [c << (n - k) for k, c in enumerate(p)]
+            high = [sum(c * math.comb(k, m) << (n - k) for k, c in enumerate(p) if k >= m)
+                    for m in range(n + 1)]
+            assert _halves(_bernstein_integers(p)) == (
+                _bernstein_integers(low), _bernstein_integers(high)
+            )
+
+    def test_zero_polynomial_not_certified(self):
+        assert not _certify_negative((0, 0, 0))
+
+    def test_agrees_with_dense_evaluation(self):
+        # a certified polynomial is negative at every interior sample; one
+        # below -1 at every sample is certified, since |p'| <= 40 * 28 keeps
+        # it below -1 + 1120 / 2000 < 0 within 1/2000 of a sample
         rng = rng_for(13)
-        poly = _claim_polys(9)["value_at_one"]
-        icoeffs = [Interval.from_int(c) for c in poly]
-        for _ in range(50):
-            lo = float(rng.uniform(0, 0.9))
-            hi = lo + float(rng.uniform(0, 0.1))
-            box = Interval(lo, hi)
-            enclosure = horner(icoeffs, box)
-            for s in np.linspace(lo, hi, 7):
-                exact = float(
-                    sum(c * s**k for k, c in enumerate(poly))
-                )
-                assert enclosure.lo - 1e-12 <= exact <= enclosure.hi + 1e-12
-
-
-class TestIntervals:
-    def test_outward_rounding(self):
-        x = Interval.exact(0.1) + Interval.exact(0.2)
-        assert x.lo < 0.1 + 0.2 < x.hi or (x.lo <= 0.30000000000000004 <= x.hi)
-        assert x.width > 0
-
-    def test_multiplication_soundness(self):
-        rng = rng_for(17)
-        for _ in range(100):
-            a = sorted(rng.uniform(-3, 3, size=2))
-            b = sorted(rng.uniform(-3, 3, size=2))
-            x = Interval(float(a[0]), float(a[1]))
-            y = Interval(float(b[0]), float(b[1]))
-            prod = x * y
-            for u in np.linspace(x.lo, x.hi, 5):
-                for v in np.linspace(y.lo, y.hi, 5):
-                    assert prod.lo <= u * v <= prod.hi
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            Interval(2.0, 1.0)
+        s = np.linspace(0.0, 1.0, 2001)[1:-1]
+        seen = set()
+        for _ in range(300):
+            coeffs = [-int(rng.integers(1, 20))]
+            coeffs += [int(c) for c in rng.integers(-40, 41, size=int(rng.integers(1, 8)))]
+            worst = float(np.max(np.polynomial.polynomial.polyval(s, coeffs)))
+            ok = _certify_negative(tuple(coeffs))
+            if ok:
+                assert worst < 0.0, coeffs
+            if worst < -1.0:
+                assert ok, coeffs
+            seen.add(ok)
+        assert seen == {True, False}

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,8 +13,8 @@ from hyperslice.maximizer import (
     lagrangian_gradient,
     maximize_section_volume,
     pair_condition_check,
-    worker_count,
 )
+from hyperslice.parallel import worker_count
 from hyperslice.vertexsum import section_volume_vertex_sum
 
 from conftest import corner_spec, edge_spec, rng_for
@@ -36,6 +37,34 @@ class TestClosedFormMax:
                 assert closed_form_max(d, float(t)) == pytest.approx(
                     section_volume_vertex_sum(spec).value, rel=1e-12
                 )
+
+    @pytest.mark.parametrize("d", [5, 12, 20, 40, 60])
+    def test_deep_cuts_match_400_bit_sum(self, d):
+        # below t = sqrt(d)/2 - 1/sqrt(d) more vertices than the origin lie
+        # under the cut and the single-term formula no longer holds
+        for t in (0.0, 0.1, 0.3, math.sqrt(d) / 2 - 1.5 / math.sqrt(d)):
+            with mpmath.workprec(400):
+                root = mpmath.sqrt(d)
+                gap = root / 2 - mpmath.mpf(t)
+                total = mpmath.fsum(
+                    (-1) ** k * mpmath.binomial(d, k) * (gap - k / root) ** (d - 1)
+                    for k in range(d + 1) if k < gap * root
+                )
+                ref = float(root**d / mpmath.factorial(d - 1) * total)
+            assert closed_form_max(d, t) == pytest.approx(ref, rel=1e-15), t
+
+    def test_deep_cuts_match_vertex_sum(self):
+        assert closed_form_max(20, 0.1) == pytest.approx(1.2939616198258, rel=1e-12)
+        for d in (5, 12):
+            for t in (0.05, 0.4, 0.8):
+                spec = diagonal_section_spec(d, t)
+                assert closed_form_max(d, t) == pytest.approx(
+                    section_volume_vertex_sum(spec).value, rel=1e-12
+                )
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(InvalidInputError):
+            closed_form_max(6, -0.1)
 
     def test_strictly_decreasing_in_radius(self):
         for d in (3, 5, 9):

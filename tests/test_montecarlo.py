@@ -81,6 +81,14 @@ class TestBoxSampler:
         est, se = mc_halfspace_volume(spec, N, seed=6)
         assert abs(est - halfspace_volume(spec).value) <= 3 * se + 1e-9
 
+    def test_all_hit_sample_reports_positive_stderr(self):
+        # every draw hits, but the box holds a miss region of relative size
+        # ~1e-12, so the sample does not make the estimate exact
+        spec = make_section_spec([0.6, 1e-12, 0.8], 0.2)
+        est, se = mc_section_volume(spec, 200_000, seed=5)
+        assert se > 0.0
+        assert abs(est - section_volume_vertex_sum(spec).value) <= 3 * se
+
     def test_shallow_corner_cut(self):
         # b = 1e-3: the box shrinks with b, so a fraction 1/(d-1)! of the
         # draws still hits and the relative stderr stays small
