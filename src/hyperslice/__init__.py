@@ -35,7 +35,6 @@ from .geometry import (
     coordinate_sum,
     diagonal_section_spec,
     make_section_spec,
-    vertices_below,
 )
 from .integral import (
     QuadratureConfig,
@@ -110,5 +109,4 @@ __all__ = [
     "sinc_product_integrand",
     "tail_bound",
     "tail_bound_sharp",
-    "vertices_below",
 ]

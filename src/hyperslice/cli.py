@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=sup, help="Monte Carlo seed")
     p.add_argument("--tol", type=float, default=sup, help="integral tolerance")
     p.add_argument("--mc-n", dest="mc_n", type=int, default=sup,
-                   help="Monte Carlo sample count")
+                   help="Monte Carlo sample count, at least 2")
     p.add_argument("--config", type=str, default=sup)
 
     p = sub.add_parser("maximize", help="maximize volume over directions")

@@ -10,7 +10,8 @@ class InvalidInputError(HypersliceError, ValueError):
 
 
 class CapacityError(HypersliceError):
-    """Requested dimension exceeds the configured vertex-enumeration limit."""
+    """The cut has more grouped vertex terms than one exact vertex walk
+    yields (``geometry.MAX_TERMS``)."""
 
 
 class RegimeError(HypersliceError):

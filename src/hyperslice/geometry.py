@@ -11,8 +11,9 @@ centered at ``(1/2, ..., 1/2)`` and cuts off the near half-space
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,11 @@ from .errors import CapacityError, InvalidInputError
 #: formula requires strictly positive coordinates.
 ZERO_COORD_TOL = 1e-14
 
-#: Default cap on the dimension for explicit vertex enumeration (2^d worst case).
-DEFAULT_DIM_LIMIT = 30
+#: Most grouped terms one vertex walk yields before it raises CapacityError.
+#: Distinct coordinates give one term per vertex, so every cut fits up to
+#: d = 18 (2^17 terms at t = 0), and a d = 40 cut at t = 0 gives up after
+#: 1-2 s on a 2-core x86 host.
+MAX_TERMS = 1 << 18
 
 
 class CutKind(str, Enum):
@@ -62,7 +66,6 @@ class SectionSpec:
 class CutClassification:
     count_below: int
     kind: CutKind
-    vertices: tuple = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -143,88 +146,102 @@ def canonicalize(a) -> np.ndarray:
     return np.sort(a)[::-1].copy()
 
 
-def vertices_below(spec: SectionSpec, dim_limit: int = DEFAULT_DIM_LIMIT):
-    """All cube vertices v with a.v <= b, in lexicographic order.
+class IntegerCut(NamedTuple):
+    """The cut {a.x <= b} written exactly in integers.
 
-    Enumeration is depth-first over coordinates sorted descending, pruning a
-    branch as soon as its partial dot product exceeds b (completions only add
-    nonnegative terms).  Shallow cuts therefore cost O(d) rather than O(2^d).
+    ``coords`` are the distinct coordinates of a in ascending order and
+    ``mults`` their multiplicities; ``values[g] == coords[g] * 2**exp`` and
+    ``offset == b * 2**exp`` are integers, with one common exponent.
     """
-    if spec.dim > dim_limit:
-        raise CapacityError(
-            f"dimension {spec.dim} exceeds enumeration limit {dim_limit}; "
-            "pass a larger dim_limit to override"
-        )
-    b = spec.offset
-    if b < 0.0:
-        return []
-    d = spec.dim
-    order = np.argsort(-spec.direction, kind="stable")
-    asorted = spec.direction[order]
-    found = []
 
-    def descend(i, partial, bits):
-        if i == d:
-            found.append(bits)
-            return
-        descend(i + 1, partial, bits)
-        s1 = partial + asorted[i]
-        if s1 <= b:
-            descend(i + 1, s1, bits | (1 << i))
-
-    descend(0, 0.0, 0)
-
-    verts = []
-    for bits in found:
-        v = [0] * d
-        for i in range(d):
-            if bits & (1 << i):
-                v[order[i]] = 1
-        verts.append(tuple(v))
-    verts.sort()
-    return verts
+    coords: list
+    mults: list
+    values: list
+    offset: int
+    exp: int
 
 
-def classify_cut(spec: SectionSpec, dim_limit: int = DEFAULT_DIM_LIMIT) -> CutClassification:
+def integer_cut(a, b: float) -> IntegerCut:
+    """Group equal coordinates of a and scale them and b to integers.
+
+    Every float is a dyadic rational, so ``float.as_integer_ratio`` gives
+    it exactly as p / 2^k; the common denominator is the largest 2^k.
+    """
+    xs = np.asarray(a, dtype=float).tolist()
+    coords = sorted(set(xs))
+    nums, dens = zip(*map(float.as_integer_ratio, coords + [float(b)]))
+    den = max(dens)
+    ints = [p * (den // q) for p, q in zip(nums, dens)]
+    mults = list(map(xs.count, coords))
+    return IntegerCut(coords, mults, ints[:-1], ints[-1], den.bit_length() - 1)
+
+
+def vertex_terms(cut: IntegerCut):
+    """Yield (weight, gap, takes) for the cube vertices v with a.v <= b.
+
+    A term stands for the vertices that take ``takes[g]`` of the
+    ``mults[g]`` coordinates equal to ``coords[g]``, for every group g:
+    ``weight`` is their signed count, prod_g (-1)^k_g C(m_g, k_g), and
+    ``gap`` the exact integer (b - a.v) * 2**exp >= 0 they share.
+
+    The walk is depth-first in Python integers and visits only terms: a
+    term's children each take one more coordinate from its last nonzero
+    group or a later one, and the ascending values stop the scan at the
+    first group that no longer fits.  A sum over the terms is exact, and
+    its cost grows with the number of terms, not of vertices.  The walk
+    raises CapacityError as soon as more than MAX_TERMS terms are yielded.
+    """
+    if cut.offset < 0:
+        return
+    values, mults = cut.values, cut.mults
+    stack = [(cut.offset, 1, (0,) * len(values), 0)]
+    yielded = 0
+    while stack:
+        gap, weight, takes, last = stack.pop()
+        yielded += 1
+        if yielded > MAX_TERMS:
+            raise CapacityError(
+                f"more than {MAX_TERMS} grouped vertex terms lie below the cut"
+            )
+        yield weight, gap, takes
+        for g in range(last, len(values)):
+            if values[g] > gap:
+                break
+            k = takes[g]
+            if k < mults[g]:
+                # (-1)^(k+1) C(m, k+1) = -(-1)^k C(m, k) (m - k) / (k + 1), exactly
+                stack.append((gap - values[g], -weight * (mults[g] - k) // (k + 1),
+                              takes[:g] + (k + 1,) + takes[g + 1:], g))
+
+
+_KIND_BY_COUNT = {0: CutKind.EMPTY, 1: CutKind.CORNER, 2: CutKind.EDGE, 3: CutKind.SQUARE3}
+
+
+def classify_count(a, b: float, count: int) -> CutClassification:
+    """Classification of the cut {a.x <= b} with ``count`` vertices below.
+
+    Since a >= 0 the near set is closed downward: it holds the origin
+    whenever it is not empty, and a vertex only with every vertex below it.
+    So 0, 1, 2 and 3 vertices are the empty set, the origin, an edge and
+    three corners of a square face.  Four vertices are a whole square face
+    when two unit vectors e_i lie below and a claw when three do.  Any
+    larger set is OTHER.
+    """
+    if count == 4:
+        singles = int(np.count_nonzero(np.asarray(a, dtype=float) <= b))
+        kind = CutKind.SQUARE4 if singles == 2 else CutKind.CLAW4
+    else:
+        kind = _KIND_BY_COUNT.get(count, CutKind.OTHER)
+    return CutClassification(count, kind)
+
+
+def classify_cut(spec: SectionSpec) -> CutClassification:
     """Count and classify the cube vertices on the near side of the hyperplane.
 
-    Tie vertices (a.v == b) count as below; shallow cuts classify in O(d)
-    because the enumeration prunes.
+    Tie vertices (a.v == b) count as below.  The count is exact and comes
+    from one grouped walk (``vertex_terms``), which never lists vertices:
+    a cut with few distinct coordinates costs few terms at any dimension.
     """
-    if spec.offset < 0.0:
-        return CutClassification(0, CutKind.EMPTY, ())
-    verts = vertices_below(spec, dim_limit=dim_limit)
-    return CutClassification(len(verts), _kind_of(verts), tuple(verts))
-
-
-def _kind_of(verts) -> CutKind:
-    n = len(verts)
-    if n == 0:
-        return CutKind.EMPTY
-    if n == 1:
-        return CutKind.CORNER
-    if n == 2:
-        if _hamming(verts[0], verts[1]) == 1:
-            return CutKind.EDGE
-        return CutKind.OTHER
-    if n == 3:
-        return CutKind.SQUARE3 if _spanning_coords(verts) == 2 else CutKind.OTHER
-    if n == 4:
-        if _spanning_coords(verts) == 2:
-            return CutKind.SQUARE4
-        for center in verts:
-            if all(v == center or _hamming(v, center) == 1 for v in verts):
-                return CutKind.CLAW4
-        return CutKind.OTHER
-    return CutKind.OTHER
-
-
-def _hamming(u, v) -> int:
-    return sum(x != y for x, y in zip(u, v))
-
-
-def _spanning_coords(verts) -> int:
-    """Number of coordinates in which the vertices are not all equal."""
-    first = verts[0]
-    return sum(any(v[i] != first[i] for v in verts) for i in range(len(first)))
-
+    a, b = spec.direction, spec.offset
+    count = sum(abs(weight) for weight, _, _ in vertex_terms(integer_cut(a, b)))
+    return classify_count(a, b, count)

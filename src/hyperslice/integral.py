@@ -57,8 +57,11 @@ def make_quadrature_config(
     """Derive truncation data for a spec from the integrand's tail bounds.
 
     Two rigorous bounds are available: 1/(m2 u^2) from the two smallest
-    positive coordinates, and for four or more positive coordinates the
-    faster 1/(m u^(d-1)) decay; the smaller resulting N wins.
+    positive coordinates, and for n >= 4 positive coordinates the faster
+    1/(m u^(n-1)) decay, m the product of the n-1 largest; the smaller
+    resulting N wins.  |sinc(x)| <= min(1, 1/|x|) bounds the product by
+    1/(prod_J a_i u^|J|) for any subset J, so leaving out the smallest
+    coordinate keeps one tiny coordinate from forcing the closed-form tail.
     """
     if not abs_tol > 0.0:
         raise ValueError("abs_tol must be positive")
@@ -75,7 +78,7 @@ def make_quadrature_config(
     m_tail = m2
     if n_pos >= 4:
         j = n_pos - 1
-        m_tail = float(np.prod(a_pos[:j]))
+        m_tail = float(np.prod(a_pos[-j:]))
         candidates.append(
             (4.0 * norm / (math.pi * m_tail * (j - 1) * abs_tol)) ** (1.0 / (j - 1))
         )
@@ -113,7 +116,8 @@ def tail_bound(cfg: QuadratureConfig, N: float) -> float:
 
 
 def tail_bound_sharp(cfg: QuadratureConfig, N: float) -> float:
-    """Tail bound from the u^-(d-1) decay; valid for >= 4 positive coordinates."""
+    """Tail bound from the u^-(n-1) decay of the n-1 largest of n >= 4
+    positive coordinates."""
     if not N > 0.0:
         raise ValueError("N must be positive")
     if cfg.n_pos < 4:

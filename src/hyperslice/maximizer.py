@@ -18,8 +18,15 @@ import numpy as np
 
 from .certificates import quad_coeffs
 from .errors import InvalidInputError, RegimeError
-from .geometry import CutKind, SectionSpec, classify_cut
-from .vertexsum import _alternating_sum
+from .geometry import (
+    CutKind,
+    SectionSpec,
+    classify_count,
+    classify_cut,
+    integer_cut,
+    vertex_terms,
+)
+from .vertexsum import _vertex_sum
 
 MAX_ITERATIONS = 500
 INITIAL_STEP = 0.1
@@ -69,34 +76,44 @@ def closed_form_max(d: int, t: float) -> float:
         return float(root ** d / math.factorial(d - 1) * total)
 
 
-def _ratio_gradient(a: np.ndarray, b: float, verts) -> np.ndarray:
-    """Gradient of W(a) = (section volume)/||a|| inside a fixed vertex cell.
+def _ratio_gradient(a: np.ndarray, b: float):
+    """Vertex count and gradient of W(a) = (section volume)/||a|| inside a
+    fixed vertex cell, from one walk.
 
     W = S / ((d-1)! prod(a)) with S the signed sum of (b - a.v)^(d-1) over
-    the near vertices; b = sum(a)/2 - t contributes d b/d a_i = 1/2.
+    the near vertices; b = sum(a)/2 - t contributes d b/d a_i = 1/2, so
+    dS/da_i = sum_v (-1)^|v| (d-1) (b - a.v)^(d-2) (1/2 - v_i).  A grouped
+    term takes k_g of the m_g coordinates equal to a_i, so v_i = 1 on the
+    share k_g/m_g of its vertices and it adds
+    weight (d-1) gap^(d-2) (1/2 - k_g/m_g).
     """
     d = a.size
-    prod_a = float(np.prod(a))
-    fact = math.factorial(d - 1)
-    s_val = 0.0
-    s_grad = np.zeros(d)
-    for v in verts:
-        varr = np.asarray(v, dtype=float)
-        gap = b - float(a @ varr)
-        sign = -1.0 if (sum(v) & 1) else 1.0
-        s_val += sign * gap ** (d - 1)
-        s_grad += sign * (d - 1) * gap ** (d - 2) * (0.5 - varr)
-    w_val = s_val / (fact * prod_a)
-    return s_grad / (fact * prod_a) - w_val / a
+    cut = integer_cut(a, b)
+    count = s_val = s_low = 0
+    s_takes = [0] * len(cut.mults)
+    for weight, gap, takes in vertex_terms(cut):
+        count += abs(weight)
+        low = weight * gap ** (d - 2)
+        s_val += low * gap
+        s_low += low
+        for g, k in enumerate(takes):
+            if k:
+                s_takes[g] += low * k
+    # with a = A / 2^E: S = s_val / 2^(E(d-1)), prod(a) = prod(A) / 2^(E d)
+    # and dS/da_i = (d-1) (m_g s_low - 2 s_takes[g]) / (2 m_g 2^(E(d-2)))
+    den = math.factorial(d - 2) * math.prod(map(pow, cut.values, cut.mults))
+    w_val = (s_val << cut.exp) / ((d - 1) * den)
+    by_coord = {
+        x: ((m * s_low - 2 * sk) << 2 * cut.exp) / (2 * m * den)
+        for x, m, sk in zip(cut.coords, cut.mults, s_takes)
+    }
+    grad = np.array([by_coord[x] for x in a.tolist()])
+    return count, grad - w_val / a
 
 
-def _ratio_value(a: np.ndarray, b: float, verts) -> float:
-    d = a.size
-    s_val = 0.0
-    for v in verts:
-        gap = b - float(a @ np.asarray(v, dtype=float))
-        s_val += (-1.0 if (sum(v) & 1) else 1.0) * gap ** (d - 1)
-    return s_val / (math.factorial(d - 1) * float(np.prod(a)))
+def _ratio_value(a: np.ndarray, b: float) -> float:
+    """W(a) = S / ((d-1)! prod(a)), the exact sum divided once."""
+    return _vertex_sum(a, b, 0)[1]
 
 
 def lagrangian_gradient(spec: SectionSpec, lam: float, allow_fd: bool = False):
@@ -109,13 +126,14 @@ def lagrangian_gradient(spec: SectionSpec, lam: float, allow_fd: bool = False):
     a = spec.direction
     if np.any(a <= 0.0):
         raise RegimeError("all coordinates must be positive for the gradient")
-    cut = classify_cut(spec)
-    if cut.kind in (CutKind.CORNER, CutKind.EDGE) and spec.offset > 0.0:
-        grad = _ratio_gradient(a, spec.offset, cut.vertices) + 2.0 * lam * a
-        return grad, True
+    count, grad = _ratio_gradient(a, spec.offset)
+    # one vertex below is a corner cut, two an edge cut
+    if count in (1, 2) and spec.offset > 0.0:
+        return grad + 2.0 * lam * a, True
     if not allow_fd:
+        kind = classify_count(a, spec.offset, count).kind
         raise RegimeError(
-            f"no analytic gradient for cut kind {cut.kind.value}; "
+            f"no analytic gradient for cut kind {kind.value}; "
             "pass allow_fd=True for the finite-difference fallback"
         )
     return _fd_lagrangian_gradient(a, spec.radius, lam), False
@@ -124,9 +142,7 @@ def lagrangian_gradient(spec: SectionSpec, lam: float, allow_fd: bool = False):
 def _lagrangian_value(a_raw: np.ndarray, t: float, lam: float) -> float:
     """V/||a|| + lam (||a||^2 - 1) at a possibly non-unit direction."""
     b = float(np.sum(a_raw)) / 2.0 - t
-    total, _ = _alternating_sum(a_raw, b, a_raw.size - 1)
-    w = total / (math.factorial(a_raw.size - 1) * float(np.prod(a_raw)))
-    return w + lam * (float(a_raw @ a_raw) - 1.0)
+    return _ratio_value(a_raw, b) + lam * (float(a_raw @ a_raw) - 1.0)
 
 
 def _fd_lagrangian_gradient(a: np.ndarray, t: float, lam: float) -> np.ndarray:
@@ -206,14 +222,6 @@ def _project(a: np.ndarray):
     return a / float(np.linalg.norm(a))
 
 
-def _near_vertices(a: np.ndarray, b: float):
-    """Vertex tuples below {a.x = b}; classification only reads (a, b)."""
-    if b < 0.0:
-        return []
-    spec = SectionSpec(dim=a.size, direction=a, radius=0.0, offset=b)
-    return classify_cut(spec).vertices
-
-
 def _ascend(a0: np.ndarray, t: float):
     """Projected gradient ascent from one start; returns (a, value, converged).
 
@@ -226,13 +234,12 @@ def _ascend(a0: np.ndarray, t: float):
     """
     a = a0
     b = float(np.sum(a)) / 2.0 - t
-    verts = _near_vertices(a, b)
-    value = _ratio_value(a, b, verts) if verts else 0.0
+    value = _ratio_value(a, b)
     converged = False
     for _ in range(MAX_ITERATIONS):
-        if not verts or value <= 0.0:
+        if value <= 0.0:
             break
-        grad = _ratio_gradient(a, b, verts)
+        _, grad = _ratio_gradient(a, b)
         tangent = (grad - float(grad @ a) * a) / value
         gnorm = float(np.linalg.norm(tangent))
         if INITIAL_STEP * gnorm < STEP_GRAD_TOL:
@@ -245,10 +252,9 @@ def _ascend(a0: np.ndarray, t: float):
             cand = _project(a + step * tangent)
             if cand is not None:
                 b_c = float(np.sum(cand)) / 2.0 - t
-                verts_c = _near_vertices(cand, b_c)
-                val_c = _ratio_value(cand, b_c, verts_c) if verts_c else 0.0
+                val_c = _ratio_value(cand, b_c)
                 if val_c > 0.0 and math.log(val_c) > log_value + 1e-4 * step * gnorm * gnorm:
-                    a, b, verts, value = cand, b_c, verts_c, val_c
+                    a, b, value = cand, b_c, val_c
                     accepted = True
                     break
             step *= 0.5
@@ -321,8 +327,7 @@ def maximize_section_volume(
         )
     cosang = float(np.clip(best_a @ diag, -1.0, 1.0))
     b = float(np.sum(best_a)) / 2.0 - t
-    verts = _near_vertices(best_a, b)
-    grad = _ratio_gradient(best_a, b, verts)
+    _, grad = _ratio_gradient(best_a, b)
     lam = -float(grad @ best_a) / 2.0
     residual = float(np.linalg.norm(grad + 2.0 * lam * best_a))
     return OptimizerReport(

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .geometry import SectionSpec
 from .parallel import ordered_map
 
@@ -72,7 +73,7 @@ def _scaled(hits: int, n: int, scale: float):
 
 def mc_halfspace_volume(spec: SectionSpec, n: int, seed: int = 0):
     """Estimate of the d-volume of {x in [0,1]^d : a.x <= b} from n uniform
-    points of the box that holds it.
+    points of the box that holds it, n >= 2.
 
     Returns (estimate, stderr) with stderr = vol(box) * sqrt(q(1-q)/n) for
     the hit fraction p clamped to q in [1/n, 1 - 1/n].  It is exactly
@@ -80,8 +81,8 @@ def mc_halfspace_volume(spec: SectionSpec, n: int, seed: int = 0):
     when the far corner of the box satisfies a.x <= b, so that every box
     point does.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if n < 2:
+        raise InvalidInputError("n must be at least 2")
     b = spec.offset
     if b < 0.0:
         return 0.0, 0.0
@@ -95,7 +96,8 @@ def mc_halfspace_volume(spec: SectionSpec, n: int, seed: int = 0):
 
 def mc_section_volume(spec: SectionSpec, n: int, seed: int = 0):
     """Estimate of the (d-1)-volume of the section a.x = b from n uniform
-    points of the box that holds its projection along e_k, k = argmax a_i.
+    points of the box that holds its projection along e_k, k = argmax a_i,
+    n >= 2.
 
     Returns (estimate, stderr) with stderr = scale * sqrt(q(1-q)/n) for the
     hit fraction p clamped to q in [1/n, 1 - 1/n], and
@@ -105,8 +107,8 @@ def mc_section_volume(spec: SectionSpec, n: int, seed: int = 0):
     where the box is empty (scale 0) when every a_i > 0 and is the face of
     the zero coordinates otherwise.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if n < 2:
+        raise InvalidInputError("n must be at least 2")
     b = spec.offset
     if b < 0.0:
         return 0.0, 0.0

@@ -7,35 +7,31 @@ The (d-1)-volume of the section {a.x = b} cut out of [0,1]^d is
 summed over the vertices v with a.v <= b, and the d-volume of the near
 half-space replaces the power d-1 by d and (d-1)! by d!.  Terms can exceed
 the result by many orders of magnitude for deep cuts, so the sums are
-evaluated with Neumaier compensation and fall back to software floats with
-a >=128-bit significand when the estimated cancellation error is too large
-relative to the result.
+formed exactly: every float is a dyadic rational, so the coordinates and
+the offset become integers over one power of two, and the grouped vertex
+walk of ``geometry.vertex_terms`` sums in Python integers.  The only
+roundings are the one division that turns the exact sum into a float and
+||a||, so ``err`` is a few ulps.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
-import mpmath
 import numpy as np
 
 from .errors import CellCrossingError, InvalidInputError, RegimeError
 from .geometry import (
-    DEFAULT_DIM_LIMIT,
     ZERO_COORD_TOL,
-    CutClassification,
     CutKind,
     SectionSpec,
     VolumeResult,
+    classify_count,
     classify_cut,
-    vertices_below,
+    integer_cut,
+    vertex_terms,
 )
-
-_EPS = float(np.finfo(float).eps)
-
-#: Relative cancellation-error threshold that triggers the extended-precision
-#: re-evaluation of an alternating sum.
-EXTENDED_PRECISION_TRIGGER = 1e-9
 
 _FACTORIALS = [float(math.factorial(n)) for n in range(32)]
 
@@ -46,131 +42,71 @@ def _factorial(n: int) -> float:
     return float(math.factorial(n))
 
 
-def _reduced_direction(spec: SectionSpec):
-    """Drop zero coordinates (below threshold) from the direction.
+def _vertex_sum(a, b, excess):
+    """One walk over the cube vertices v with a.v <= b.
 
-    The section volume is unchanged: a zero coordinate factors the section
-    as a cartesian product with [0,1], and the formula then applies in the
-    reduced dimension with the same offset b.
+    Returns (count, value): count is the number of such vertices, every
+    coordinate counted, and value is
+
+        sum_v (-1)^|v| (b - a.v)^p / (p! prod(a)),   p = n - 1 + excess,
+
+    with a, v and the product restricted to the n coordinates above
+    ZERO_COORD_TOL: excess 0 gives the section volume over ||a||, excess 1
+    the half-space volume.  A zero coordinate factors the section as a
+    cartesian product with [0,1], so dropping it leaves the volume
+    unchanged.  The sum is exact; value is its one correctly rounded
+    division.
     """
-    a = spec.direction
-    keep = a > ZERO_COORD_TOL
-    a_pos = a[keep]
-    if a_pos.size < 1:
+    cut = integer_cut(a, b)
+    dropped = bisect.bisect_right(cut.coords, ZERO_COORD_TOL)
+    n = sum(cut.mults[dropped:])
+    if n == 0:
         raise InvalidInputError("direction reduces to dimension 0")
-    return a_pos
+    power = n - 1 + excess
+    count = total = 0
+    for weight, gap, takes in vertex_terms(cut):
+        count += abs(weight)
+        if not any(takes[:dropped]):
+            total += weight * gap**power
+    den = math.factorial(power) * math.prod(
+        map(pow, cut.values[dropped:], cut.mults[dropped:])
+    )
+    # with a = A / 2^E and b = B / 2^E the sum is total / 2^(E p) and
+    # prod(a) = prod(A) / 2^(E n)
+    return count, (total << cut.exp * (n - power)) / den
 
 
-def _signed_gap_terms(a, b):
-    """Yield (parity, gap) with gap = b - a.v >= 0 over vertices with a.v <= b.
+def section_volume_vertex_sum(spec: SectionSpec) -> VolumeResult:
+    """(d-1)-volume of the section by the signed vertex sum.
 
-    Depth-first over coordinates sorted descending with prune-on-overshoot,
-    identical in spirit to geometry.vertices_below but without materializing
-    vertex tuples.
+    ``err`` covers the correctly rounded quotient, ||a|| (squares, their
+    fsum and the square root) and the product: together under 2 eps
+    relative, and 4 ulps of the value exceed that.
     """
-    if b < 0.0:
-        return
-    d = len(a)
-    asorted = np.sort(np.asarray(a, dtype=float))[::-1]
-    stack = [(0, 0.0, 0)]
-    while stack:
-        i, partial, parity = stack.pop()
-        if i == d:
-            yield parity, b - partial
-            continue
-        s1 = partial + asorted[i]
-        if s1 <= b:
-            stack.append((i + 1, s1, parity ^ 1))
-        stack.append((i + 1, partial, parity))
-
-
-def _compensated_power_sum(a, b, power):
-    """Neumaier sum of (-1)^parity * gap^power and the sum of magnitudes."""
-    total = 0.0
-    comp = 0.0
-    absum = 0.0
-    for parity, gap in _signed_gap_terms(a, b):
-        term = gap**power
-        absum += term
-        if parity:
-            term = -term
-        s = total + term
-        if abs(total) >= abs(term):
-            comp += (total - s) + term
-        else:
-            comp += (term - s) + total
-        total = s
-    return total + comp, absum
-
-
-def _extended_power_sum(a, b, power):
-    """Re-evaluate the alternating sum with 160-bit software floats."""
-    with mpmath.workprec(160):
-        bb = mpmath.mpf(b)
-        total = mpmath.mpf(0)
-        d = len(a)
-        asorted = sorted((mpmath.mpf(float(x)) for x in a), reverse=True)
-        stack = [(0, mpmath.mpf(0), 0)]
-        while stack:
-            i, partial, parity = stack.pop()
-            if i == d:
-                term = (bb - partial) ** power
-                total = total - term if parity else total + term
-                continue
-            s1 = partial + asorted[i]
-            if s1 <= bb:
-                stack.append((i + 1, s1, parity ^ 1))
-            stack.append((i + 1, partial, parity))
-        return float(total)
-
-
-def _alternating_sum(a, b, power):
-    """(sum, err_estimate) for the signed gap-power sum, with fallback."""
-    total, absum = _compensated_power_sum(a, b, power)
-    err = _EPS * absum
-    if absum > 0.0 and err > EXTENDED_PRECISION_TRIGGER * abs(total):
-        total = _extended_power_sum(a, b, power)
-        err = _EPS * abs(total)
-    return total, err
-
-
-def section_volume_vertex_sum(
-    spec: SectionSpec, dim_limit: int = DEFAULT_DIM_LIMIT
-) -> VolumeResult:
-    """(d-1)-volume of the section by the signed vertex sum."""
-    cut = classify_cut(spec, dim_limit=dim_limit)
-    a_pos = _reduced_direction(spec)
-    d_eff = a_pos.size
-    norm = float(np.linalg.norm(a_pos))
-    scale = norm / (_factorial(d_eff - 1) * float(np.prod(a_pos)))
-    total, err = _alternating_sum(a_pos, spec.offset, d_eff - 1)
+    a, b = spec.direction, spec.offset
+    count, ratio = _vertex_sum(a, b, 0)
+    a_pos = a[a > ZERO_COORD_TOL]
+    value = ratio * math.sqrt(math.fsum(a_pos * a_pos))
     return VolumeResult(
-        value=max(total * scale, 0.0),
-        method="vertex_sum",
-        err=err * scale,
-        cut=cut,
+        value=value, method="vertex_sum", err=4.0 * math.ulp(value),
+        cut=classify_count(a, b, count),
     )
 
 
-def halfspace_volume(spec: SectionSpec, dim_limit: int = DEFAULT_DIM_LIMIT) -> VolumeResult:
+def halfspace_volume(spec: SectionSpec) -> VolumeResult:
     """d-volume of the near half-space {x in [0,1]^d : a.x <= b}."""
-    cut = classify_cut(spec, dim_limit=dim_limit)
-    value, err = _halfspace_value(spec.direction, spec.offset)
-    return VolumeResult(value=value, method="vertex_sum", err=err, cut=cut)
+    a, b = spec.direction, spec.offset
+    count, value = _vertex_sum(a, b, 1)
+    return VolumeResult(
+        value=value, method="vertex_sum", err=math.ulp(value),
+        cut=classify_count(a, b, count),
+    )
 
 
 def _halfspace_value(a, b):
-    """Half-space volume from raw (a, b); b may exceed sum(a)/2."""
-    a = np.asarray(a, dtype=float)
-    a_pos = a[a > ZERO_COORD_TOL]
-    if a_pos.size < 1:
-        raise InvalidInputError("direction reduces to dimension 0")
-    d_eff = a_pos.size
-    if b >= float(np.sum(a_pos)):
-        return 1.0, 0.0
-    scale = 1.0 / (_factorial(d_eff) * float(np.prod(a_pos)))
-    total, err = _alternating_sum(a_pos, b, d_eff)
-    return min(max(total * scale, 0.0), 1.0), err * scale
+    """Half-space volume and err from raw (a, b); b may exceed sum(a)/2."""
+    _, value = _vertex_sum(a, b, 1)
+    return value, math.ulp(value)
 
 
 def corner_volume(spec: SectionSpec) -> float:
@@ -217,18 +153,10 @@ def section_from_halfspace_derivative(spec: SectionSpec, h: float) -> float:
     norm = float(np.linalg.norm(a))
     b_lo = spec.offset - h * norm  # radius t + h
     b_hi = spec.offset + h * norm  # radius t - h
-    n_lo = _count_below(a, b_lo)
-    n_hi = _count_below(a, b_hi)
+    n_lo, w_lo = _vertex_sum(a, b_lo, 1)
+    n_hi, w_hi = _vertex_sum(a, b_hi, 1)
     if n_lo != n_hi:
         raise CellCrossingError(
             f"vertex count changes across the step ({n_lo} vs {n_hi}); shrink h"
         )
-    w_lo, _ = _halfspace_value(a, b_lo)
-    w_hi, _ = _halfspace_value(a, b_hi)
     return (w_hi - w_lo) / (2.0 * h)
-
-
-def _count_below(a, b):
-    if b < 0.0:
-        return 0
-    return sum(1 for _ in _signed_gap_terms(np.asarray(a, dtype=float), b))

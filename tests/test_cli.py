@@ -4,6 +4,7 @@ import math
 import pytest
 
 from hyperslice.cli import main
+from hyperslice.maximizer import closed_form_max
 
 
 def run_cli(capsys, *argv):
@@ -55,8 +56,26 @@ class TestVolumeCommand:
         assert code == 2
 
     def test_capacity_exit_code(self, capsys):
-        code, _, _ = run_cli(capsys, "volume", "--d", "31", "--diagonal", "--t", "0.5")
+        # 40 distinct coordinates at t = 0: about 2^39 vertices below the cut
+        coords = ",".join(str(1.0 + i / 64) for i in range(40))
+        code, _, err = run_cli(capsys, "volume", "--d", "40", "--a", coords, "--t", "0")
         assert code == 3
+        assert "grouped vertex terms" in err
+
+    def test_deep_diagonal_cut_d31(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "volume", "--d", "31", "--diagonal", "--t", "0.1", "--method", "sum"
+        )
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert result["value"] == pytest.approx(closed_form_max(31, 0.1), rel=1e-12)
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_too_few_mc_samples_invalid(self, capsys, n):
+        code, out, err = run_cli(capsys, "volume", "--d", "3", "--a", "0.2,0.5,0.9",
+                                 "--t", "0.3", "--method", "mc", "--mc-n", n)
+        assert code == 2
+        assert out == "" and "at least 2" in err
 
     def test_missing_direction(self, capsys):
         code, _, _ = run_cli(capsys, "volume", "--d", "3", "--t", "0.1")

@@ -1,9 +1,13 @@
+import itertools
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import irwinhall
 
 from hyperslice.errors import CapacityError, InvalidInputError
 from hyperslice.geometry import (
@@ -14,10 +18,50 @@ from hyperslice.geometry import (
     coordinate_sum,
     diagonal_section_spec,
     make_section_spec,
-    vertices_below,
 )
+from hyperslice.vertexsum import section_volume_vertex_sum
 
 from conftest import rng_for, random_unit_direction
+
+
+def brute_force_below(spec):
+    """Every vertex v of the cube with a.v <= b exactly, by listing all 2^d."""
+    a = [Fraction(float(x)) for x in spec.direction]
+    return [v for v in itertools.product((0, 1), repeat=spec.dim)
+            if sum(x for x, vi in zip(a, v) if vi) <= Fraction(spec.offset)]
+
+
+def brute_force_kind(verts):
+    """Combinatorial type of a listed vertex set, from its Hamming geometry."""
+    def hamming(u, v):
+        return sum(x != y for x, y in zip(u, v))
+
+    def spanning(vs):
+        return sum(any(v[i] != vs[0][i] for v in vs) for i in range(len(vs[0])))
+
+    n = len(verts)
+    if n == 0:
+        return CutKind.EMPTY
+    if n == 1:
+        return CutKind.CORNER
+    if n == 2:
+        return CutKind.EDGE if hamming(*verts) == 1 else CutKind.OTHER
+    if n == 3:
+        return CutKind.SQUARE3 if spanning(verts) == 2 else CutKind.OTHER
+    if n == 4:
+        if spanning(verts) == 2:
+            return CutKind.SQUARE4
+        for center in verts:
+            if all(v == center or hamming(v, center) == 1 for v in verts):
+                return CutKind.CLAW4
+    return CutKind.OTHER
+
+
+def assert_matches_brute_force(spec):
+    verts = brute_force_below(spec)
+    cut = classify_cut(spec)
+    assert (cut.count_below, cut.kind) == (len(verts), brute_force_kind(verts))
+    return verts
 
 
 class TestMakeSectionSpec:
@@ -80,36 +124,42 @@ class TestCoordinateHelpers:
 class TestVerticesBelow:
     def test_deep_corner_only_origin(self):
         spec = make_section_spec([1, 1, 1], 0.8)
-        assert vertices_below(spec) == [(0, 0, 0)]
+        assert assert_matches_brute_force(spec) == [(0, 0, 0)]
+        assert classify_cut(spec).kind is CutKind.CORNER
 
     def test_negative_offset_empty(self):
         spec = make_section_spec([2, 0], 1.0)
-        assert vertices_below(spec) == []
+        assert assert_matches_brute_force(spec) == []
+        assert classify_cut(spec).kind is CutKind.EMPTY
 
     def test_central_square_ties_included(self):
         spec = make_section_spec([1, 1], 0.0)
-        assert vertices_below(spec) == [(0, 0), (0, 1), (1, 0)]
+        assert assert_matches_brute_force(spec) == [(0, 0), (0, 1), (1, 0)]
+        assert classify_cut(spec).kind is CutKind.SQUARE3
 
     def test_matches_brute_force(self):
         rng = rng_for(3)
         for _ in range(25):
             d = int(rng.integers(2, 7))
             spec = make_section_spec(rng.uniform(0.05, 1.0, size=d), rng.uniform(0, 1))
-            got = vertices_below(spec)
-            expect = []
-            for bits in range(2**d):
-                v = tuple((bits >> i) & 1 for i in range(d))
-                if float(spec.direction @ np.array(v, dtype=float)) <= spec.offset:
-                    expect.append(v)
-            assert got == sorted(expect)
+            assert_matches_brute_force(spec)
 
     def test_capacity_error(self):
-        spec = make_section_spec(np.ones(31), 0.0)
-        with pytest.raises(CapacityError):
-            vertices_below(spec)
-        # the override flag lifts the cap; a shallow cut stays cheap
+        # one group of 31 equal coordinates: 16 grouped terms at t = 0
+        center = section_volume_vertex_sum(make_section_spec(np.ones(31), 0.0))
+        assert center.cut.count_below == 2**30
+        assert center.value == pytest.approx(
+            math.sqrt(31) * irwinhall(31).pdf(31 / 2), rel=1e-12)
         deep = make_section_spec(np.ones(31), 2.7)
-        assert vertices_below(deep, dim_limit=40) == [tuple([0] * 31)]
+        assert classify_cut(deep).count_below == 1
+        # distinct coordinates: about 2^39 vertices below, refused quickly
+        spec = make_section_spec(random_unit_direction(rng_for(40), 40), 0.0)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            classify_cut(spec)
+        with pytest.raises(CapacityError):
+            section_volume_vertex_sum(spec)
+        assert time.perf_counter() - start < 10.0
 
 
 class TestClassifyCut:
@@ -219,7 +269,7 @@ def test_count_below_non_increasing_in_radius(d, seed, t1, t2):
 def test_nonpositive_offset_means_trivial_vertex_set(d, seed, t):
     a = random_unit_direction(rng_for(seed), d)
     spec = make_section_spec(a, t)
-    verts = vertices_below(spec)
+    verts = assert_matches_brute_force(spec)
     if spec.offset < 0:
         assert verts == []
     elif spec.offset == 0:

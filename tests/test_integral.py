@@ -151,6 +151,20 @@ class TestSectionVolumeIntegral:
             res = section_volume_integral(spec)
             assert abs(res.value - vs.value) <= res.err + vs.err + 1e-12
 
+    @pytest.mark.parametrize("a, t", [
+        ([0.0091, 0.0523, 6.07e-5, 0.124, 0.839, 0.525, 0.0435], 0.15),
+        ([0.0158, 0.832, 3.51e-5, 0.467, 0.126, 0.0247, 0.271], 0.675),
+    ])
+    def test_one_small_coordinate_err_is_honest(self, a, t):
+        # the u^-(n-1) tail bound takes the n-1 largest coordinates, so one
+        # small coordinate no longer sends d = 7 to the closed-form tail,
+        # whose err was 1e-12 against a 3e-9 and 5e-9 miss
+        spec = make_section_spec(a, t)
+        assert not make_quadrature_config(spec).analytic_tail
+        vs = section_volume_vertex_sum(spec)
+        res = section_volume_integral(spec)
+        assert abs(res.value - vs.value) <= res.err + vs.err
+
 
 class TestAdaptivePanels:
     def test_evenness_of_integration(self):

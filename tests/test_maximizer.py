@@ -109,6 +109,8 @@ class TestLagrangianGradient:
         spec = diagonal_section_spec(4, 0.45)  # five vertices below
         with pytest.raises(RegimeError):
             lagrangian_gradient(spec, 0.1)
+        with pytest.raises(RegimeError):  # three vertices below
+            lagrangian_gradient(make_section_spec([1, 1], 0.0), 0.1)
         grad, analytic = lagrangian_gradient(spec, 0.1, allow_fd=True)
         assert not analytic
         assert grad.shape == (4,)

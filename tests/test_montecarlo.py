@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperslice.errors import InvalidInputError
 from hyperslice.geometry import diagonal_section_spec, make_section_spec
 from hyperslice.montecarlo import mc_halfspace_volume, mc_section_volume
 from hyperslice.vertexsum import corner_volume, halfspace_volume, section_volume_vertex_sum
@@ -116,6 +117,16 @@ class TestBoxSampler:
         assert section_volume_vertex_sum(spec).value == 1.0
         assert mc_section_volume(spec, N, seed=0) == (1.0, 0.0)
         assert mc_halfspace_volume(spec, N, seed=0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_draws_rejected(self, n):
+        # one draw leaves the clamp range [1/n, 1 - 1/n] empty and would
+        # report stderr 0 for a single-point estimate
+        spec = make_section_spec([0.2, 0.5, 0.9], 0.3)
+        with pytest.raises(InvalidInputError):
+            mc_section_volume(spec, n, seed=0)
+        with pytest.raises(InvalidInputError):
+            mc_halfspace_volume(spec, n, seed=0)
 
     def test_bit_identical_across_thread_counts(self, monkeypatch):
         spec = make_section_spec([0.2, 0.5, 0.9, 0.1, 0.4], 0.3)

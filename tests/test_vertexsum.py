@@ -1,12 +1,23 @@
+import itertools
 import math
+import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import irwinhall
 
 from hyperslice.errors import CellCrossingError, RegimeError
-from hyperslice.geometry import diagonal_section_spec, make_section_spec, vertices_below
+from hyperslice.geometry import (
+    ZERO_COORD_TOL,
+    SectionSpec,
+    diagonal_section_spec,
+    make_section_spec,
+)
+from hyperslice.maximizer import closed_form_max
 from hyperslice.vertexsum import (
     _halfspace_value,
     corner_volume,
@@ -94,9 +105,11 @@ class TestSectionVolume:
         with mpmath.workprec(300):
             b = mpmath.mpf(spec.offset)
             total = mpmath.mpf(0)
-            for v in vertices_below(spec):
+            for v in itertools.product((0, 1), repeat=spec.dim):
                 dot = mpmath.fsum(mpmath.mpf(float(x)) for x, vi in
                                   zip(spec.direction, v) if vi)
+                if dot > b:
+                    continue
                 sign = -1 if (sum(v) & 1) else 1
                 total += sign * (b - dot) ** (spec.dim - 1)
             scale = mpmath.mpf(float(np.linalg.norm(spec.direction)))
@@ -105,6 +118,85 @@ class TestSectionVolume:
             expect = float(total * scale / math.factorial(spec.dim - 1))
         assert res.value == pytest.approx(expect, rel=1e-12)
         assert res.err <= 1e-9 * res.value
+
+
+class TestDeepCuts:
+    @pytest.mark.parametrize("d", [30, 60])
+    @pytest.mark.parametrize("t", [0.0, 0.1, 0.5])
+    def test_diagonal_matches_closed_form(self, d, t):
+        # d coordinates, one group: at most d + 1 grouped terms
+        spec = diagonal_section_spec(d, t)
+        start = time.perf_counter()
+        section = section_volume_vertex_sum(spec)
+        half = halfspace_volume(spec)
+        assert time.perf_counter() - start < 0.5
+        assert section.value == pytest.approx(closed_form_max(d, t), rel=1e-12)
+        a, b = Fraction(float(spec.direction[0])), Fraction(spec.offset)
+        layers = [k for k in range(d + 1) if k * a <= b]
+        assert section.cut.count_below == half.cut.count_below == sum(
+            math.comb(d, k) for k in layers)
+        with mpmath.workprec(400):
+            x = mpmath.mpf(spec.offset) * mpmath.sqrt(d)  # Irwin-Hall(d) CDF at x
+            ref = mpmath.fsum((-1) ** k * mpmath.binomial(d, k) * (x - k) ** d
+                              for k in layers) / mpmath.factorial(d)
+        assert half.value == pytest.approx(float(ref), rel=1e-12)
+
+
+def _exact_volumes(a, b):
+    """(section / ||a||, half-space) as Fractions, summed over all 2^n vertices
+    of the positive coordinates; a zero coordinate changes neither volume."""
+    pos = [Fraction(float(x)) for x in a if x > 0.0]
+    n, bb = len(pos), Fraction(b)
+    sec = half = Fraction(0)
+    for v in itertools.product((0, 1), repeat=n):
+        gap = bb - sum(x for x, vi in zip(pos, v) if vi)
+        if gap >= 0:
+            sign = -1 if sum(v) & 1 else 1
+            sec += sign * gap ** (n - 1)
+            half += sign * gap**n
+    prod = math.prod(pos)
+    return sec / (math.factorial(n - 1) * prod), half / (math.factorial(n) * prod)
+
+
+def _sqrt_bounds(x: Fraction, bits=200):
+    """Rationals lo <= sqrt(x) <= hi with hi - lo = 2^-bits / x.denominator."""
+    num = x.numerator * x.denominator << (2 * bits)
+    root = math.isqrt(num)
+    den = x.denominator << bits
+    return Fraction(root, den), Fraction(root + 1, den)
+
+
+@st.composite
+def near_vertex_cuts(draw):
+    """Directions with repeated values, exact zeros and coordinates just above
+    ZERO_COORD_TOL, with offsets anywhere or within a few ulps of a vertex level."""
+    d = draw(st.integers(2, 8))
+    n_regular = draw(st.integers(1, d))
+    pool = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=n_regular))
+    regular = np.array([draw(st.sampled_from(pool)) for _ in range(n_regular)])
+    special = [draw(st.one_of(st.just(0.0), st.floats(ZERO_COORD_TOL, 8 * ZERO_COORD_TOL,
+                                                      exclude_min=True)))
+               for _ in range(d - n_regular)]
+    a = np.array(draw(st.permutations(list(regular / np.linalg.norm(regular)) + special)))
+    if draw(st.booleans()):
+        level = math.fsum(a[np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))])
+        b = level + draw(st.integers(-3, 3)) * math.ulp(level)
+    else:
+        b = draw(st.floats(-0.05, math.fsum(a) + 0.05))
+    return SectionSpec(dim=d, direction=a, radius=math.fsum(a) / 2 - b, offset=b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_vertex_cuts())
+def test_err_is_an_honest_bound(spec):
+    # the vertex-sum routes read only the direction and the offset
+    ratio, half = _exact_volumes(spec.direction, spec.offset)
+    lo, hi = _sqrt_bounds(sum(Fraction(float(x)) ** 2 for x in spec.direction if x > 0.0))
+    section = section_volume_vertex_sum(spec)
+    value, err = Fraction(section.value), Fraction(section.err)
+    assert value - err <= ratio * lo and ratio * hi <= value + err
+    result = halfspace_volume(spec)
+    assert abs(Fraction(result.value) - half) <= Fraction(result.err)
 
 
 class TestHalfspaceVolume:
