@@ -11,7 +11,10 @@ computed with adaptive Gauss panels.  The discarded tail obeys
 positive coordinates, which fixes the truncation point N; when that N is
 impractically large, integration stops at a moderate N and the remaining tail
 is evaluated in closed form through sine/cosine-integral recurrences applied
-to the product-to-sum expansion of the integrand.
+to the product-to-sum expansion of the integrand.  Si and Ci are evaluated
+here (``_sici``) from their power series, their asymptotic series and the
+continued fraction of E1(ix) (Abramowitz & Stegun 5.2), so the module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import ConvergenceError, NonintegrableTailError
 from .geometry import SectionSpec, VolumeResult, ZERO_COORD_TOL, classify_cut
@@ -37,6 +39,20 @@ ANALYTIC_TAIL_N = 256.0
 
 _GAUSS_LO = np.polynomial.legendre.leggauss(7)
 _GAUSS_HI = np.polynomial.legendre.leggauss(15)
+
+_EULER_GAMMA = 0.5772156649015329
+
+#: Power series in x^2 of Si(x)/x and of (Ci(x) - gamma - ln x)/x^2; at
+#: x = 4 the last terms are below 1e-17.
+_SI_SERIES = [(-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)) for k in range(17)]
+_CI_SERIES = [(-1) ** k / (2 * k * math.factorial(2 * k)) for k in range(1, 18)]
+
+#: Asymptotic series in 1/x^2 of x f(x) and x^2 g(x), the auxiliary functions
+#: with Si = pi/2 - f cos x - g sin x and Ci = f sin x - g cos x; the terms
+#: (2k)!/x^(2k) fall until 2k ~ x, so twenty of them reach 1e-16 at x = 40.
+_AUX_SERIES = np.array(
+    [[(-1) ** k * math.factorial(2 * k), (-1) ** k * math.factorial(2 * k + 1)]
+     for k in range(20)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -184,6 +200,72 @@ def _panel_rule(f, los, his):
     return g15, np.abs(g15 - g7)
 
 
+def _horner(coeffs, z):
+    out = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out = out * z + c
+    return out
+
+
+def _e1_lentz(x: float) -> complex:
+    """e^(ix) E1(ix) = 1/(1+ix- 1^2/(3+ix- 2^2/(5+ix- ...))) for one x > 4,
+    by the modified Lentz method, stopped once a step moves it by 4 eps."""
+    b = complex(1.0, x)
+    c = 1e300  # 1/tiny: the leading term has no a/c part
+    d = h = 1.0 / b
+    for i in range(1, 100):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= 4.0 * _EPS:
+            break
+    return h
+
+
+def _sici(x):
+    """(Si(x), Ci(x)) elementwise for an array of x > 0.
+
+    x <= 4 sums the power series (its alternating terms stay below 4, so
+    Horner keeps the error near eps); x >= 40 sums the asymptotic series
+    of f and g, whose terms fall from 1; in between, E1(ix) = -Ci(x) +
+    i (Si(x) - pi/2) comes from its continued fraction, element by element:
+    it takes about 50 steps at x = 4 and 10 at x = 40, and the tail passes
+    few such x (the nearly cancelling frequencies), so a Python loop per
+    element beats an array loop that runs until the slowest one converges.
+    """
+    x = np.asarray(x, dtype=float)
+    si = np.empty_like(x)
+    ci = np.empty_like(x)
+    small = x <= 4.0
+    large = x >= 40.0
+    mid = ~(small | large)
+    if np.any(small):
+        xs = x[small]
+        z = xs * xs
+        si[small] = xs * _horner(_SI_SERIES, z)
+        ci[small] = _EULER_GAMMA + np.log(xs) + z * _horner(_CI_SERIES, z)
+    if np.any(large):
+        xl = x[large]
+        z = 1.0 / (xl * xl)
+        # the terms shrink from 1 without cancellation, so explicit powers
+        # lose nothing against Horner and take two array operations
+        aux = (z[:, None] ** np.arange(len(_AUX_SERIES))) @ _AUX_SERIES
+        f = aux[:, 0] / xl
+        g = aux[:, 1] * z
+        sin, cos = np.sin(xl), np.cos(xl)
+        si[large] = 0.5 * math.pi - f * cos - g * sin
+        ci[large] = f * sin - g * cos
+    if np.any(mid):
+        xm = x[mid]
+        e1 = np.array([_e1_lentz(v) for v in xm.tolist()]) * np.exp(-1j * xm)
+        si[mid] = 0.5 * math.pi + e1.imag
+        ci[mid] = -e1.real
+    return si, ci
+
+
 def _tail_integrals(nus, N, k):
     """Componentwise C(nu) = Int_N^inf cos(nu u)/u^k du and the sine analog.
 
@@ -195,7 +277,7 @@ def _tail_integrals(nus, N, k):
     zero = x_freq == 0.0
     xf = np.where(zero, 1.0, x_freq)
     arg = xf * N
-    si, ci = sici(arg)
+    si, ci = _sici(arg)
     ic = -ci
     isn = 0.5 * math.pi - si
     cosv = np.cos(arg)

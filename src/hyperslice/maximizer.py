@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .certificates import quad_coeffs
 from .errors import InvalidInputError, RegimeError
 from .geometry import (
     CutKind,
+    IntegerCut,
     SectionSpec,
     classify_count,
     classify_cut,
@@ -52,9 +52,11 @@ def closed_form_max(d: int, t: float) -> float:
 
     With gap = sqrt(d)/2 - t, it is d^(d/2)/(d-1)! gap^(d-1) while only the
     origin lies below the cut (gap < 1/sqrt(d)), and otherwise the vertex
-    sum over the layers |v| = k < gap sqrt(d),
-    d^(d/2)/(d-1)! sum_k (-1)^k C(d,k) (gap - k/sqrt(d))^(d-1).  That sum
-    cancels about 0.6 d bits, so it runs in mpmath at 64 + d bits.
+    sum over the layers |v| = k < x, x = gap sqrt(d) = d/2 - t sqrt(d):
+    sqrt(d)/(d-1)! sum_k (-1)^k C(d,k) (x - k)^(d-1).  That sum cancels about
+    0.6 d bits, so x is fixed to 2^-(64+d) (it moves the value by about
+    d 2^-(64+d) relative) and the sum runs exactly in integers, as the
+    grouped vertex walk over one group of d unit coordinates.
     """
     if d < 2:
         raise InvalidInputError("d must be at least 2")
@@ -65,15 +67,15 @@ def closed_form_max(d: int, t: float) -> float:
         return 0.0
     if gap < 1.0 / math.sqrt(d):
         return d ** (d / 2.0) / math.factorial(d - 1) * gap ** (d - 1)
-    with mpmath.workprec(64 + d):
-        root = mpmath.sqrt(d)
-        gap = root / 2 - mpmath.mpf(t)
-        total = mpmath.fsum(
-            (-1) ** k * math.comb(d, k) * (gap - k / root) ** (d - 1)
-            for k in range(d + 1)
-            if k < gap * root
-        )
-        return float(root ** d / math.factorial(d - 1) * total)
+    p = 64 + d
+    num, den = float(t).as_integer_ratio()
+    # x 2^p, rounded up: t sqrt(d) 2^p = sqrt(t^2 d 2^(2p)) is floored
+    x = (d << p - 1) - math.isqrt((num * num * d << 2 * p) // (den * den))
+    cut = IntegerCut([1.0], [d], [1 << p], x, p)
+    total = sum(w * g ** (d - 1) for w, g, _ in vertex_terms(cut))
+    # sqrt(d) total / ((d-1)! 2^(p(d-1))), with sqrt(d) total = sqrt(d total^2)
+    # floored at several hundred bits, so the division rounds it once
+    return math.isqrt(d * total * total) / (math.factorial(d - 1) << p * (d - 1))
 
 
 def _ratio_gradient(a: np.ndarray, b: float):
@@ -173,28 +175,19 @@ def pair_condition_check(spec: SectionSpec) -> np.ndarray:
     cut = classify_cut(spec)
     if b <= 0.0 or cut.kind not in (CutKind.CORNER, CutKind.EDGE):
         raise RegimeError("pair conditions require a corner or edge cut with b > 0")
-    res = []
-    if cut.kind is CutKind.CORNER:
-        for j in range(d):
-            for k in range(j + 1, d):
-                res.append(
-                    -b * (a[k] / a[j] - a[j] / a[k]) + (d - 1) / 2.0 * (a[k] - a[j])
-                )
-        return np.array(res)
     m = int(np.argmin(a))
     y = 1.0 - a[m] / b
-    if y <= 0.0:
-        # tie a_min == b: the edge term (b - a_min)^(d-1) vanishes and the
-        # cut degenerates to the corner conditions
-        for j in range(d):
-            for k in range(j + 1, d):
-                res.append(
-                    -b * (a[k] / a[j] - a[j] / a[k]) + (d - 1) / 2.0 * (a[k] - a[j])
-                )
-        return np.array(res)
+    if cut.kind is CutKind.CORNER or y <= 0.0:
+        # at the tie a_min == b of an edge cut the edge term (b - a_min)^(d-1)
+        # vanishes and the cut degenerates to the corner conditions
+        return np.array([
+            -b * (a[k] / a[j] - a[j] / a[k]) + (d - 1) / 2.0 * (a[k] - a[j])
+            for j in range(d) for k in range(j + 1, d)
+        ])
     coeffs = quad_coeffs(d, y)
     ypow1 = 1.0 - y ** (d - 1)
     ypow2 = 1.0 - y ** (d - 2)
+    res = []
     for j in range(d):
         for k in range(j + 1, d):
             if m in (j, k):

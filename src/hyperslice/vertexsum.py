@@ -16,7 +16,6 @@ roundings are the one division that turns the exact sum into a float and
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -50,15 +49,15 @@ def _vertex_sum(a, b, excess):
 
         sum_v (-1)^|v| (b - a.v)^p / (p! prod(a)),   p = n - 1 + excess,
 
-    with a, v and the product restricted to the n coordinates above
-    ZERO_COORD_TOL: excess 0 gives the section volume over ||a||, excess 1
-    the half-space volume.  A zero coordinate factors the section as a
-    cartesian product with [0,1], so dropping it leaves the volume
-    unchanged.  The sum is exact; value is its one correctly rounded
-    division.
+    with a, v and the product restricted to the n nonzero coordinates:
+    excess 0 gives the section volume over ||a||, excess 1 the half-space
+    volume.  A zero coordinate factors the section as a cartesian product
+    with [0,1], so dropping it leaves the volume unchanged; a tiny nonzero
+    one is kept, since the sum is exact at any scale.  value is its one
+    correctly rounded division.
     """
     cut = integer_cut(a, b)
-    dropped = bisect.bisect_right(cut.coords, ZERO_COORD_TOL)
+    dropped = int(cut.coords[0] == 0.0)
     n = sum(cut.mults[dropped:])
     if n == 0:
         raise InvalidInputError("direction reduces to dimension 0")
@@ -85,8 +84,7 @@ def section_volume_vertex_sum(spec: SectionSpec) -> VolumeResult:
     """
     a, b = spec.direction, spec.offset
     count, ratio = _vertex_sum(a, b, 0)
-    a_pos = a[a > ZERO_COORD_TOL]
-    value = ratio * math.sqrt(math.fsum(a_pos * a_pos))
+    value = ratio * math.sqrt(math.fsum(a * a))
     return VolumeResult(
         value=value, method="vertex_sum", err=4.0 * math.ulp(value),
         cut=classify_count(a, b, count),

@@ -1,0 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hyperslice
+
+
+def test_import_loads_numpy_alone():
+    # a fresh interpreter, so modules the test suite imported do not count
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperslice.__file__).parents[1]))
+    code = ("import sys, hyperslice; "
+            "print(' '.join(m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["numpy"]

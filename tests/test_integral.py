@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hyperslice.errors import ConvergenceError, NonintegrableTailError
 from hyperslice.geometry import diagonal_section_spec, make_section_spec
 from hyperslice.integral import (
+    _sici,
     _tail_closed_form,
     adaptive_panel_integral,
     make_quadrature_config,
@@ -47,6 +49,24 @@ class TestIntegrand:
         assert np.array_equal(
             sinc_product_integrand(a, 0.7, u), sinc_product_integrand(a, 0.7, -u)
         )
+
+
+class TestSici:
+    # log-spaced over the whole range, linear across the three branches, and
+    # the neighbouring floats of both branch points
+    POINTS = np.concatenate([
+        np.logspace(-10, 7, 120),
+        np.linspace(0.01, 60, 240),
+        [np.nextafter(x, side) for x in (4.0, 40.0) for side in (0.0, x, math.inf)],
+    ])
+
+    def test_matches_40_digit_reference(self):
+        si, ci = _sici(self.POINTS)
+        with mpmath.workdps(40):
+            for x, s, c in zip(self.POINTS.tolist(), si.tolist(), ci.tolist()):
+                ref_si, ref_ci = mpmath.si(x), mpmath.ci(x)
+                assert abs(s - ref_si) <= 8 * math.ulp(float(ref_si)), x
+                assert abs(c - ref_ci) <= 1e-14, x
 
 
 class TestTailBounds:

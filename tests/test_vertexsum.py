@@ -119,6 +119,17 @@ class TestSectionVolume:
         assert res.value == pytest.approx(expect, rel=1e-12)
         assert res.err <= 1e-9 * res.value
 
+    def test_tiny_coordinate_is_kept(self):
+        # a coordinate at ZERO_COORD_TOL still moves the section by 1.0e-14,
+        # so only exact zeros may be dropped
+        a = np.array([0.6, 0.8, ZERO_COORD_TOL])
+        spec = SectionSpec(dim=3, direction=a, radius=math.fsum(a) / 2 - 0.3, offset=0.3)
+        ratio, _ = _exact_volumes(a, 0.3)
+        lo, hi = _sqrt_bounds(sum(Fraction(float(x)) ** 2 for x in a))
+        res = section_volume_vertex_sum(spec)
+        value, err = Fraction(res.value), Fraction(res.err)
+        assert value - err <= ratio * lo and ratio * hi <= value + err
+
 
 class TestDeepCuts:
     @pytest.mark.parametrize("d", [30, 60])
@@ -168,14 +179,16 @@ def _sqrt_bounds(x: Fraction, bits=200):
 
 @st.composite
 def near_vertex_cuts(draw):
-    """Directions with repeated values, exact zeros and coordinates just above
-    ZERO_COORD_TOL, with offsets anywhere or within a few ulps of a vertex level."""
+    """Directions with repeated values, exact zeros, subnormal and tiny
+    coordinates and coordinates at or just above ZERO_COORD_TOL, with offsets
+    anywhere or within a few ulps of a vertex level."""
     d = draw(st.integers(2, 8))
     n_regular = draw(st.integers(1, d))
     pool = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=n_regular))
     regular = np.array([draw(st.sampled_from(pool)) for _ in range(n_regular)])
-    special = [draw(st.one_of(st.just(0.0), st.floats(ZERO_COORD_TOL, 8 * ZERO_COORD_TOL,
-                                                      exclude_min=True)))
+    special = [draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, ZERO_COORD_TOL]),
+                              st.floats(ZERO_COORD_TOL, 8 * ZERO_COORD_TOL,
+                                        exclude_min=True)))
                for _ in range(d - n_regular)]
     a = np.array(draw(st.permutations(list(regular / np.linalg.norm(regular)) + special)))
     if draw(st.booleans()):
