@@ -55,11 +55,10 @@ from .maximizer import (
 )
 from .montecarlo import mc_halfspace_volume, mc_section_volume
 from .vertexsum import (
-    corner_volume,
-    edge_volume,
     halfspace_volume,
     section_from_halfspace_derivative,
     section_volume_vertex_sum,
+    star_volume,
 )
 
 __version__ = "0.1.0"
@@ -87,11 +86,9 @@ __all__ = [
     "closed_form_max",
     "coordinate_product",
     "coordinate_sum",
-    "corner_volume",
     "decay_inequality_check",
     "default_y_grid",
     "diagonal_section_spec",
-    "edge_volume",
     "halfspace_volume",
     "lagrangian_gradient",
     "make_quadrature_config",
@@ -107,6 +104,7 @@ __all__ = [
     "section_volume_vertex_sum",
     "sign_certificates",
     "sinc_product_integrand",
+    "star_volume",
     "tail_bound",
     "tail_bound_sharp",
 ]

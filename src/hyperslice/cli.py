@@ -235,6 +235,7 @@ def cmd_maximize(args: dict) -> int:
         "residual_norm": _fmt(rep.residual_norm),
         "starts": rep.starts,
         "converged_starts": rep.converged_starts,
+        "infeasible_starts": rep.infeasible_starts,
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK

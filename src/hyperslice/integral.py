@@ -11,7 +11,12 @@ computed with adaptive Gauss panels.  The discarded tail obeys
 positive coordinates, which fixes the truncation point N; when that N is
 impractically large, integration stops at a moderate N and the remaining tail
 is evaluated in closed form through sine/cosine-integral recurrences applied
-to the product-to-sum expansion of the integrand.  Si and Ci are evaluated
+to the product-to-sum expansion of the integrand.  Coordinates up to
+TINY_COORD stay out of that expansion, whose scale 1/prod(a) would amplify
+the roundoff of nearly cancelling frequencies: sinc(e u) is the average of
+cos(s u) over s in [-e, e], so the tail is the closed form of the other
+coordinates averaged over shifted frequencies, which a few Gauss points
+evaluate.  Si and Ci are evaluated
 here (``_sici``) from their power series, their asymptotic series and the
 continued fraction of E1(ix) (Abramowitz & Stegun 5.2), so the module needs
 numpy alone.
@@ -19,6 +24,7 @@ numpy alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -260,10 +266,43 @@ def _sici(x):
         ci[large] = f * sin - g * cos
     if np.any(mid):
         xm = x[mid]
-        e1 = np.array([_e1_lentz(v) for v in xm.tolist()]) * np.exp(-1j * xm)
+        e1 = _e1_scaled(xm) * np.exp(-1j * xm)
         si[mid] = 0.5 * math.pi + e1.imag
         ci[mid] = -e1.real
     return si, ci
+
+
+def _e1_scaled(xs):
+    """e^(ix) E1(ix) for an array of x in (4, 40).
+
+    The continued fraction (``_e1_lentz``) runs once for each run of x
+    within 1/16 of its smallest, x0; the run's other members take a Taylor
+    step from x0 through h' = i h - 1/x, whose coefficients obey
+    c_n = (i c_(n-1) - (-1)^(n-1) / x0^n) / n.  Twelve terms leave a
+    remainder below 1e-22 for steps under 1/16.  Equal x recur in every
+    tail (|nu| and |-nu|), and tails averaged over tiny coordinates ask for
+    runs of nearly equal x.
+    """
+    order = np.argsort(xs, kind="stable").tolist()
+    vals = xs.tolist()
+    out = np.empty(len(vals), dtype=complex)
+    x0 = -math.inf
+    for i in order:
+        x = vals[i]
+        if x - x0 > 0.0625:
+            x0, h0, coef = x, _e1_lentz(x), None
+        if x == x0:
+            out[i] = h0
+            continue
+        if coef is None:
+            coef = [h0]
+            for n in range(1, 12):
+                coef.append((1j * coef[-1] - (-1.0) ** (n - 1) / x0**n) / n)
+        h, step = 0j, x - x0
+        for c in reversed(coef):
+            h = h * step + c
+        out[i] = h
+    return out
 
 
 def _tail_integrals(nus, N, k):
@@ -291,34 +330,148 @@ def _tail_integrals(nus, N, k):
     return ic, sgn * isn
 
 
-def _tail_closed_form(a_pos, omega, N):
+@functools.lru_cache(maxsize=None)
+def _sign_patterns(k):
+    """All 2^k sign vectors (rows) and the product of each row's signs."""
+    eps = np.array(list(itertools.product((1.0, -1.0), repeat=k))).reshape(-1, k)
+    return eps, np.prod(eps, axis=1)
+
+
+def _kept_tails(a_kept, nus, N):
+    """Int_N^inf prod sinc(a_i u) cos(w u) du for each column of ``nus``,
+    with an absolute roundoff bound for each.
+
+    The sine product expands into the combination frequencies
+    nu = +-a_1 +- ... +-a_k +- w; a column holds them for one w, the 2^k
+    sign rows of ``_sign_patterns`` with + w and then with - w.  Each term
+    reduces to a cosine/sine tail integral of a pure power k.  The
+    recurrence that builds it from Si/Ci multiplies their error by
+    |nu|^(k-1)/(k-1)!, and its p-th step adds an eps share of
+    cos(nu N)/N^(p-1), multiplied in turn by |nu|^(k-p)/(k-p)!: in all
+    N^(1-k) sum_q (|nu| N)^q / q! over q < k for each term.
+    """
+    k = a_kept.size
+    half = nus.shape[0] // 2
+    c_int, s_int = _tail_integrals(nus.ravel(), N, k)
+    g = (s_int if k % 2 else c_int).reshape(nus.shape)
+    # the expansion takes C, S, -C, -S for k = 0, 1, 2, 3 mod 4
+    scale = (-1.0 if k % 4 >= 2 else 1.0) / (2.0 ** (k + 1) * float(np.prod(a_kept)))
+    values = (_sign_patterns(k)[1] @ (g[:half] + g[half:])) * scale
+    # the bound grows with |nu|, so the largest |nu| of each column bounds
+    # every term
+    y = np.max(np.abs(nus), axis=0) * N
+    growth = 1.0
+    for q in range(k - 1, 0, -1):
+        growth = 1.0 + growth * y / q
+    # Si and Ci carry up to 16 eps absolute; the final sum adds one eps of
+    # each term per term
+    errs = 16.0 * _EPS * abs(scale) * nus.shape[0] * (
+        growth / N ** (k - 1) + np.abs(g).sum(axis=0))
+    return values, errs
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(m):
+    """m-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(m)
+
+
+#: Coordinates up to this size leave the closed-form tail: expanding one of
+#: size e makes nearly cancelling frequency pairs nu +- e scaled by 1/e.
+TINY_COORD = 1e-4
+
+
+def _tiny_average_rule(tiny, cuts, k, N, tol):
+    """Shifts s and weights w with sum w f(s) the average of
+    f(s_1 + ... + s_j) over independent s_i uniform on [-tiny_i, tiny_i],
+    and a bound on the rule's error in units of the scale of f.
+
+    f is the tail of k kept coordinates: smooth on the scale 1/N except at
+    the shifts ``cuts``, where a term |s - c|^(k-1) (times a sign or a log)
+    makes a jump (k = 1), a kink (k = 2) or a milder break.  Each s_i,
+    largest first, gets the midpoint if its error bound stays below ``tol``
+    and two Gauss points otherwise.  With cuts in reach, an interval of s_i
+    is split wherever the span of the smaller s can reach a cut: between
+    those points the average over the n smaller s is a smooth function plus
+    a polynomial of degree k - 1 + n (up to logs once k >= 3), and s_i gets
+    enough points to integrate it exactly.
+    """
+    tiny = np.sort(tiny)[::-1]
+    shifts, weights, err = np.zeros(1), np.ones(1), 0.0
+    for i, e in enumerate(tiny.tolist()):
+        # an m-point Gauss average over a width-h interval errs by less than
+        # (h N)^(2m) / ((2m)! (2m+1)) in units of the scale of f
+        mid_err = (2.0 * e * N) ** 2 / 6.0
+        m = 1 if mid_err <= tol else 2
+        err += mid_err if m == 1 else (2.0 * e * N) ** 4 / 120.0
+        if cuts.size == 0:
+            if m == 2:  # the midpoint leaves shifts and weights as they are
+                x, w = _gauss_rule(2)
+                shifts = np.add.outer(shifts, e * x).ravel()
+                weights = np.multiply.outer(weights, 0.5 * w).ravel()
+            continue
+        inner = np.zeros(1)
+        for r in tiny[i + 1:]:
+            inner = np.concatenate([inner - r, inner + r])
+        x, w = _gauss_rule(max(m, (min(k, 3) + tiny.size - i) // 2))
+        new_s, new_w = [], []
+        for s0, w0 in zip(shifts.tolist(), weights.tolist()):
+            stops = np.subtract.outer(cuts - s0, inner).ravel()
+            edges = np.concatenate([[-e], np.sort(stops[np.abs(stops) < e]), [e]])
+            half = 0.5 * np.diff(edges)
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            new_s.append(s0 + (mid[:, None] + half[:, None] * x).ravel())
+            new_w.append(w0 / (2.0 * e) * (half[:, None] * w).ravel())
+        shifts, weights = np.concatenate(new_s), np.concatenate(new_w)
+    return shifts, weights, err
+
+
+def _tail_closed_form(a_pos, omega, N, tol=0.0):
     """(value, err_estimate) of Int_N^inf prod sinc(a_i u) cos(omega u) du.
 
-    Expands the sine product into combination frequencies; each term reduces
-    to a cosine/sine tail integral of a pure power.
+    ``omega`` is a float or a sequence of floats whose exact sum it is; the
+    frequencies nu = +-a_1 +- ... +- omega that nearly cancel are summed
+    exactly from those parts, since a vanishing nu is where the tail jumps.
+
+    Coordinates above TINY_COORD are expanded in closed form
+    (``_kept_tails``).  A tiny coordinate e enters through
+    sinc(e u) = (1/2e) Int_{-e}^{e} cos(s u) ds: folding the product of
+    cosines into cos((omega + s_1 + ... + s_j) u) makes the tail the kept
+    tail averaged over the shifts s_i, each uniform on [-e_i, e_i], which
+    ``_tiny_average_rule`` evaluates at a few points, the fewer the larger
+    the allowed rule error ``tol``.  The err adds the roundoff of every
+    evaluation and the rule's error, in units of the kept tail's derivative
+    scale 4 N^n / (N^(k-1) prod a).
     """
-    k = a_pos.size
-    eps = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
-    sgn = np.prod(eps, axis=1)
-    base = eps @ a_pos
-    nus = np.concatenate([base + omega, base - omega])
-    coefs = np.concatenate([sgn, sgn])
-    c_int, s_int = _tail_integrals(nus, N, k)
-    r = k % 4
-    if r == 0:
-        g = c_int
-    elif r == 1:
-        g = s_int
-    elif r == 2:
-        g = -c_int
-    else:
-        g = -s_int
-    scale = 1.0 / (2.0 ** (k + 1) * float(np.prod(a_pos)))
-    value = float(np.dot(coefs, g)) * scale
-    # recurrence roundoff grows roughly with the frequency powers involved
-    growth = max(1.0, float(np.max(np.abs(nus))) ** (k - 1) / math.factorial(k - 1))
-    err = _EPS * growth * float(np.sum(np.abs(g))) * scale * 8.0
-    return value, err
+    parts = np.atleast_1d(np.asarray(omega, dtype=float))
+    omega = math.fsum(parts)
+    tiny = a_pos[a_pos <= TINY_COORD]
+    kept = a_pos[a_pos > TINY_COORD]
+    k = kept.size
+    signs = _sign_patterns(k)[0]
+    base = signs @ kept
+    nu0 = np.concatenate([base + omega, base - omega])
+    # a frequency within reach of the shifts places a jump or kink inside
+    # the averaged window; its rounding would move that point
+    reach = float(np.sum(tiny))
+    for i in np.flatnonzero(np.abs(nu0) < 1e-6 + 2.0 * reach).tolist():
+        row = signs[i % base.size] * kept
+        nu0[i] = math.fsum(np.concatenate([row, parts if i < base.size else -parts]))
+    if tiny.size == 0:
+        values, errs = _kept_tails(kept, nu0[:, None], N)
+        return float(values[0]), float(errs[0])
+    # the kept tail has a kink or jump at every shift s that zeroes a
+    # frequency: s = base - omega (a frequency -base - omega - s is the same)
+    cuts = nu0[base.size:]
+    cuts = cuts[np.abs(cuts) < reach]
+    if cuts.size:
+        cuts = np.unique(cuts)
+    unit = 4.0 / (float(np.prod(kept)) * N ** (k - 1))
+    shifts, weights, rule_err = _tiny_average_rule(tiny, cuts, k, N, tol / unit)
+    half = base.size
+    nus = np.concatenate([nu0[:half, None] + shifts, nu0[half:, None] - shifts])
+    values, errs = _kept_tails(kept, nus, N)
+    return float(weights @ values), float(weights @ errs) + rule_err * unit
 
 
 def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = None) -> VolumeResult:
@@ -326,13 +479,16 @@ def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = No
     if cfg is None:
         cfg = make_quadrature_config(spec)
     a = spec.direction
-    a_pos = np.sort(a[a > ZERO_COORD_TOL])
+    a_pos = np.sort(a[a > 0.0])
     if a_pos.size < 2:
         raise NonintegrableTailError(
             "the sinc-product integral needs at least two positive coordinates"
         )
     norm = cfg.norm
-    omega = 2.0 * spec.radius * norm
+    # omega = 2 t ||a|| = sum(a) - 2 b, taken from the offset as the vertex
+    # sum does; its exact parts also go to the tail
+    omega_parts = np.append(a_pos, -2.0 * spec.offset)
+    omega = math.fsum(omega_parts)
     prefactor = norm / math.pi
     half_period = math.pi / (float(a_pos[-1]) + omega)
 
@@ -346,7 +502,8 @@ def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = No
     value = 2.0 * prefactor * part
     err = 2.0 * prefactor * qerr
     if cfg.analytic_tail:
-        tail_val, tail_err = _tail_closed_form(a_pos, omega, cfg.trunc_N)
+        # the tail may spend a thousandth of the budget on its tiny coordinates
+        tail_val, tail_err = _tail_closed_form(a_pos, omega_parts, cfg.trunc_N, 1e-3 * budget)
         value += 2.0 * prefactor * tail_val
         err += 2.0 * prefactor * tail_err
     else:

@@ -6,6 +6,13 @@ through the Lagrangian L = V/||a|| + lambda (||a||^2 - 1).  Multistart
 projected gradient ascent locates the maximizer, which in the shallow-cut
 radius regimes is the cube diagonal; the closed form at the diagonal is
 d^(d/2)/(d-1)! (sqrt(d)/2 - t)^(d-1).
+
+In the band t > sqrt(d-2)/2 the ball holds every square-face center, so no
+vertex of weight 2 lies below any cut and the volume has the O(d) star form
+of ``vertexsum.star_log_ratio``; there all starts ascend together, as one
+array, in floats.  Below the band each start ascends on the exact grouped
+vertex walk.  Either way the report's volume, multiplier and residual come
+from one exact walk at the chosen direction.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .geometry import (
     integer_cut,
     vertex_terms,
 )
-from .vertexsum import _vertex_sum
+from .vertexsum import _vertex_sum, star_log_ratio
 
 MAX_ITERATIONS = 500
 INITIAL_STEP = 0.1
@@ -44,6 +51,7 @@ class OptimizerReport:
     residual_norm: float
     starts: int
     converged_starts: int
+    infeasible_starts: int
 
 
 def closed_form_max(d: int, t: float) -> float:
@@ -216,7 +224,8 @@ def _project(a: np.ndarray):
 
 
 def _ascend(a0: np.ndarray, t: float):
-    """Projected gradient ascent from one start; returns (a, value, converged).
+    """Projected gradient ascent from one start on the exact vertex walk;
+    returns (a, value, converged).
 
     The ascent direction is the tangential gradient of log V rather than of
     V itself: the two are parallel, but the log form makes the step size
@@ -257,6 +266,77 @@ def _ascend(a0: np.ndarray, t: float):
     return a, value, converged
 
 
+def _star_objective(a: np.ndarray, t: float, grad: bool = False):
+    """log V and, with ``grad``, its gradient for unit rows a in the band."""
+    return star_log_ratio(a, np.sum(a, axis=1) / 2.0 - t, grad)
+
+
+def _ascend_star(a0: np.ndarray, t: float):
+    """The ascent of ``_ascend`` for all rows of a0 at once, on the star
+    form; returns (rows, values, converged flags).
+
+    Each row keeps its own Armijo step from 0.1, its own log-value test
+    and its own convergence flag, and leaves the array once it converges.
+    A line search probes in up to three array calls: the step 0.1 of every
+    row, then the next three halvings of the rows that failed it, then all
+    remaining halvings down to tolerance; each row takes the first step
+    that passes, as backtracking would.
+    """
+    a = a0.copy()
+    log_v = _star_objective(a, t)
+    converged = np.zeros(a.shape[0], dtype=bool)
+    active = np.flatnonzero(np.isfinite(log_v))
+    for _ in range(MAX_ITERATIONS):
+        if active.size == 0:
+            break
+        _, g = _star_objective(a[active], t, grad=True)
+        x = a[active]
+        tangent = g - np.sum(g * x, axis=1)[:, None] * x
+        gnorm = np.linalg.norm(tangent, axis=1)
+        flat = INITIAL_STEP * gnorm < STEP_GRAD_TOL
+        converged[active[flat]] = True
+        active, tangent, gnorm = active[~flat], tangent[~flat], gnorm[~flat]
+        # steps[r, k] = 0.1 / 2^k while it keeps step * ||grad|| >= tolerance
+        top = INITIAL_STEP * float(np.max(gnorm, initial=0.0)) / STEP_GRAD_TOL
+        halvings = int(math.log2(top)) + 2 if top >= 1.0 else 1
+        steps = INITIAL_STEP * 0.5 ** np.arange(halvings)
+        usable = steps[None, :] * gnorm[:, None] >= STEP_GRAD_TOL
+        chosen = np.full(active.size, -1)
+        for ks in (slice(0, 1), slice(1, 4), slice(4, halvings)):
+            rows = np.flatnonzero((chosen < 0) & usable[:, ks].any(axis=1))
+            if rows.size == 0:
+                continue
+            step = steps[ks]
+            cand = a[active[rows], None, :] + step[None, :, None] * tangent[rows, None, :]
+            inside = np.all(cand > 0.0, axis=2)
+            cand /= np.linalg.norm(cand, axis=2)[:, :, None]
+            log_c = _star_objective(cand.reshape(-1, cand.shape[2]), t).reshape(inside.shape)
+            win = usable[rows, ks] & inside & (
+                log_c > log_v[active[rows], None] + 1e-4 * step[None, :] * gnorm[rows, None] ** 2)
+            hit = win.any(axis=1)
+            first = np.argmax(win, axis=1)
+            won = rows[hit]
+            chosen[won] = first[hit] + ks.start
+            a[active[won]] = cand[hit, first[hit]]
+            log_v[active[won]] = log_c[hit, first[hit]]
+        converged[active[chosen < 0]] = True
+        active = active[chosen >= 0]
+    return a, np.exp(log_v), converged
+
+
+def _draw_start(d: int, t: float, seed: int, i: int):
+    """Start i >= 1: the first of 100 draws sqrt(Dirichlet(1, ..., 1)) of
+    substream i with sum(a)/2 > t, or None.  The last 99 come from one
+    call, which yields the same values as 99 calls."""
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+    cand = np.sqrt(rng.dirichlet(np.ones(d)))
+    if float(np.sum(cand)) / 2.0 - t > 0.0:
+        return cand
+    cands = np.sqrt(rng.dirichlet(np.ones(d), size=99))
+    feasible = np.flatnonzero(np.sum(cands, axis=1) / 2.0 - t > 0.0)
+    return cands[feasible[0]] if feasible.size else None
+
+
 def maximize_section_volume(
     d: int, t: float, starts: int = 64, seed: int = 0
 ) -> OptimizerReport:
@@ -264,7 +344,11 @@ def maximize_section_volume(
     sphere within the nonnegative orthant.
 
     Start directions are the diagonal plus square roots of flat-Dirichlet
-    samples; each start is pure given its substream, and the best result is
+    samples with sum(a)/2 > t, up to 100 draws per start; a start with no
+    such draw is infeasible and does not run.  In the band
+    t > sqrt(d-2)/2 the starts ascend together on the star form
+    (``_ascend_star``), below it one by one on the exact walk (``_ascend``).
+    Each start is pure given its substream, and the best result is
     selected in start order, so reports are reproducible.
     """
     if d < 2:
@@ -277,7 +361,7 @@ def maximize_section_volume(
         return OptimizerReport(
             best_direction=diag, best_volume=0.0, diagonal_volume=0.0,
             angle_to_diagonal=0.0, multiplier=0.0, residual_norm=0.0,
-            starts=starts, converged_starts=0,
+            starts=starts, converged_starts=0, infeasible_starts=0,
         )
     if not t > 0.5:
         raise InvalidInputError(
@@ -285,39 +369,24 @@ def maximize_section_volume(
             "directions give empty sections"
         )
 
-    def run_start(i: int):
-        if i == 0:
-            a0 = diag.copy()
-        else:
-            rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-            a0 = None
-            for _ in range(100):
-                cand = np.sqrt(rng.dirichlet(np.ones(d)))
-                if float(np.sum(cand)) / 2.0 - t > 0.0:
-                    a0 = cand
-                    break
-            if a0 is None:
-                return None
-        return _ascend(a0, t)
+    drawn = [diag.copy()] + [_draw_start(d, t, seed, i) for i in range(1, starts)]
+    ran = [a0 for a0 in drawn if a0 is not None]
+    if t > math.sqrt(d - 2) / 2.0:
+        finals, values, conv = _ascend_star(np.array(ran), t)
+    else:
+        finals, values, conv = map(np.array, zip(*(_ascend(a0, t) for a0 in ran)))
 
-    outcomes = [run_start(i) for i in range(starts)]
-
-    best_a, best_v = diag, 0.0
-    n_conv = 0
-    for outcome in outcomes:
-        if outcome is None:
-            continue
-        a, v, conv = outcome
-        n_conv += int(conv)
-        if v > best_v:
-            best_a, best_v = a, v
-
-    if best_v <= 0.0:
+    # the first start with the largest value, as in start order
+    best = int(np.argmax(values))
+    common = dict(diagonal_volume=closed, starts=starts,
+                  converged_starts=int(np.count_nonzero(conv)),
+                  infeasible_starts=starts - len(ran))
+    if not values[best] > 0.0:
         return OptimizerReport(
-            best_direction=diag, best_volume=0.0, diagonal_volume=closed,
-            angle_to_diagonal=0.0, multiplier=0.0, residual_norm=0.0,
-            starts=starts, converged_starts=n_conv,
+            best_direction=diag, best_volume=0.0, angle_to_diagonal=0.0,
+            multiplier=0.0, residual_norm=0.0, **common,
         )
+    best_a = finals[best]
     cosang = float(np.clip(best_a @ diag, -1.0, 1.0))
     b = float(np.sum(best_a)) / 2.0 - t
     _, grad = _ratio_gradient(best_a, b)
@@ -325,13 +394,11 @@ def maximize_section_volume(
     residual = float(np.linalg.norm(grad + 2.0 * lam * best_a))
     return OptimizerReport(
         best_direction=best_a,
-        best_volume=best_v,
-        diagonal_volume=closed,
+        best_volume=_ratio_value(best_a, b),
         angle_to_diagonal=math.acos(cosang),
         multiplier=lam,
         residual_norm=residual,
-        starts=starts,
-        converged_starts=n_conv,
+        **common,
     )
 
 

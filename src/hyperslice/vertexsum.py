@@ -22,23 +22,12 @@ import numpy as np
 
 from .errors import CellCrossingError, InvalidInputError, RegimeError
 from .geometry import (
-    ZERO_COORD_TOL,
-    CutKind,
     SectionSpec,
     VolumeResult,
     classify_count,
-    classify_cut,
     integer_cut,
     vertex_terms,
 )
-
-_FACTORIALS = [float(math.factorial(n)) for n in range(32)]
-
-
-def _factorial(n: int) -> float:
-    if n < len(_FACTORIALS):
-        return _FACTORIALS[n]
-    return float(math.factorial(n))
 
 
 def _vertex_sum(a, b, excess):
@@ -107,36 +96,66 @@ def _halfspace_value(a, b):
     return value, math.ulp(value)
 
 
-def corner_volume(spec: SectionSpec) -> float:
-    """Closed form b^(d-1)/((d-1)! prod(a)) for a corner cut (origin only below)."""
-    cut = classify_cut(spec)
-    if cut.kind is not CutKind.CORNER or spec.offset <= 0.0:
-        raise RegimeError("corner_volume requires a corner cut with positive offset")
-    a = spec.direction
-    d = spec.dim
-    return spec.offset ** (d - 1) / (_factorial(d - 1) * float(np.prod(a)))
+def star_log_ratio(a, b, grad: bool = False):
+    """log W for each row of a (rows, n) and its offset in b, and with
+    ``grad`` also the gradient of log W, on the star form
+    W = (b^(n-1) - sum_{a_i<b} (b - a_i)^(n-1)) / ((n-1)! prod(a)).
 
-
-def edge_volume(spec: SectionSpec) -> float:
-    """Closed form for an edge cut: origin and one neighbor below.
-
-    With a_low the unique coordinate not exceeding b, the volume is
-    (b^(d-1) - (b - a_low)^(d-1)) / ((d-1)! prod(a)).  When a_low is a true
-    zero the cut lives in the facet and the corner form of the reduced
-    direction applies instead.
+    The form is the vertex sum when the near side holds only the origin
+    and unit vectors e_i (a_i < b): when no vertex of weight 2 lies below.
+    W is the section volume over ||a||.  With x_i = a_i / b, p_i =
+    (1 - x_i)^(n-1) and q_i = (1 - x_i)^(n-2) on the cut coordinates (0
+    elsewhere), S = b^(n-1) (1 - sum p), taken as -expm1 of the largest
+    log p less the other p, so a tiny cut coordinate keeps its digits.
+    As b = sum(a)/2 - t moves by 1/2 with each a_j,
+    d log W / d a_j = (n-1) ((1 - sum q)/2 + q_j) / (b (1 - sum p)) - 1/a_j.
+    Rows with b <= 0 give log W = -inf.
     """
-    cut = classify_cut(spec)
-    if cut.kind is not CutKind.EDGE or spec.offset <= 0.0:
-        raise RegimeError("edge_volume requires an edge cut with positive offset")
-    a = spec.direction
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float).reshape(-1)
+    n = a.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log(1 - x_i), -inf where a_i >= b
+        log_1mx = np.log1p(-np.minimum(a / b[:, None], 1.0))
+        log_p = (n - 1) * log_1mx
+        rest_p = _one_minus_sum_exp(log_p)
+        log_w = ((n - 1) * np.log(b) + np.log(rest_p)
+                 - math.lgamma(n) - np.sum(np.log(a), axis=1))
+        log_w[~((b > 0.0) & (rest_p > 0.0))] = -np.inf
+        if not grad:
+            return log_w
+        log_q = (n - 2) * log_1mx if n > 2 else np.where(log_p > -np.inf, 0.0, -np.inf)
+        q = np.exp(log_q)
+        coef = (n - 1) / (b * rest_p)
+        return log_w, coef[:, None] * (0.5 * _one_minus_sum_exp(log_q)[:, None] + q) - 1.0 / a
+
+
+def _one_minus_sum_exp(logs):
+    """1 - sum_i exp(logs_i) per row, as -expm1 of the largest less the rest."""
+    top = np.max(logs, axis=1)
+    return -np.expm1(top) - (np.sum(np.exp(logs), axis=1) - np.exp(top))
+
+
+def star_volume(spec: SectionSpec) -> float:
+    """Section volume when the near side is a star: the origin and any set
+    of its neighbours e_i (a_i <= b), and no vertex of weight 2.
+
+    It is ||a|| (b^(d-1) - sum_{a_i<b} (b - a_i)^(d-1)) / ((d-1)! prod(a))
+    over the nonzero coordinates (``star_log_ratio``), and covers the
+    corner cut (origin alone) and the edge cut (one neighbour).  A zero
+    coordinate factors the section as a product with [0, 1] and is
+    dropped.  Raises RegimeError unless b > 0 and the two smallest nonzero
+    coordinates sum to at least b.
+    """
+    a = spec.direction[spec.direction > 0.0]
     b = spec.offset
-    d = spec.dim
-    i_low = int(np.argmin(a))
-    a_low = float(a[i_low])
-    if a_low <= ZERO_COORD_TOL:
-        rest = np.delete(a, i_low)
-        return b ** (d - 2) / (_factorial(d - 2) * float(np.prod(rest)))
-    return (b ** (d - 1) - (b - a_low) ** (d - 1)) / (_factorial(d - 1) * float(np.prod(a)))
+    low = np.sort(a)[:2]
+    if not b > 0.0 or (low.size == 2 and float(low[0] + low[1]) < b):
+        raise RegimeError(
+            "star_volume requires b > 0 and no vertex of weight 2 below the cut"
+        )
+    norm = math.sqrt(math.fsum(a * a))
+    return norm * math.exp(float(star_log_ratio(a, b)[0]))
 
 
 def section_from_halfspace_derivative(spec: SectionSpec, h: float) -> float:

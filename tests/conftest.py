@@ -1,4 +1,9 @@
-"""Shared seeded generators for test specs in known cut regimes."""
+"""Shared seeded generators for test specs in known cut regimes, and exact
+reference volumes."""
+
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,3 +60,35 @@ def _all_vertex_dots(a):
     d = a.size
     verts = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(float)
     return verts @ a
+
+
+def _exact_volumes(a, b):
+    """(section / ||a||, half-space) as Fractions, summed over all 2^n vertices
+    of the positive coordinates; a zero coordinate changes neither volume."""
+    pos = [Fraction(float(x)) for x in a if x > 0.0]
+    n, bb = len(pos), Fraction(b)
+    sec = half = Fraction(0)
+    for v in itertools.product((0, 1), repeat=n):
+        gap = bb - sum(x for x, vi in zip(pos, v) if vi)
+        if gap >= 0:
+            sign = -1 if sum(v) & 1 else 1
+            sec += sign * gap ** (n - 1)
+            half += sign * gap**n
+    prod = math.prod(pos)
+    return sec / (math.factorial(n - 1) * prod), half / (math.factorial(n) * prod)
+
+
+def _sqrt_bounds(x: Fraction, bits=200):
+    """Rationals lo <= sqrt(x) <= hi with hi - lo = 2^-bits / x.denominator."""
+    num = x.numerator * x.denominator << (2 * bits)
+    root = math.isqrt(num)
+    den = x.denominator << bits
+    return Fraction(root, den), Fraction(root + 1, den)
+
+
+def exact_section_bounds(spec):
+    """Rationals lo <= (section volume) <= hi for a spec, from the exact sum
+    over all vertices and 200-bit bounds on ||a||."""
+    ratio, _ = _exact_volumes(spec.direction, spec.offset)
+    lo, hi = _sqrt_bounds(sum(Fraction(float(x)) ** 2 for x in spec.direction if x > 0.0))
+    return ratio * lo, ratio * hi

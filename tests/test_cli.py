@@ -111,6 +111,14 @@ class TestMaximizeCommand:
         code, _, _ = run_cli(capsys, "maximize", "--d", "5", "--t", "0.3")
         assert code == 2
 
+    def test_reports_infeasible_starts(self, capsys):
+        code, out, _ = run_cli(capsys, "maximize", "--d", "7", "--t", "1.304",
+                               "--starts", "64", "--seed", "0")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["infeasible_starts"] == 35
+        assert payload["converged_starts"] <= 64 - 35
+
 
 class TestCertifyCommand:
     def test_claimed_range_passes(self, capsys):
@@ -225,6 +233,18 @@ class TestScanCommand:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_maximize_mode_in_the_band_at_d20(self, capsys):
+        d, eps = 20, 0.01
+        lo, hi = math.sqrt(d - 2) / 2 + eps, math.sqrt(d) / 2 - eps
+        code, out, _ = run_cli(capsys, "scan", "--d", str(d), "--t-range",
+                               f"{lo}:{hi}:3", "--mode", "maximize", "--starts", "16")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row[2]) == pytest.approx(closed_form_max(d, float(row[1])), rel=1e-9)
+            assert float(row[3]) == pytest.approx(float(row[2]), rel=1e-9)
 
     def test_bad_grid(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--d", "3", "--t-range", "1:0:5")

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,8 +9,10 @@ import pytest
 from hyperslice.errors import ConvergenceError, NonintegrableTailError
 from hyperslice.geometry import diagonal_section_spec, make_section_spec
 from hyperslice.integral import (
+    TINY_COORD,
     _sici,
     _tail_closed_form,
+    _tiny_average_rule,
     adaptive_panel_integral,
     make_quadrature_config,
     section_volume_integral,
@@ -18,7 +22,7 @@ from hyperslice.integral import (
 )
 from hyperslice.vertexsum import section_volume_vertex_sum
 
-from conftest import rng_for, random_unit_direction
+from conftest import exact_section_bounds, rng_for, random_unit_direction
 
 
 class TestIntegrand:
@@ -184,6 +188,68 @@ class TestSectionVolumeIntegral:
         vs = section_volume_vertex_sum(spec)
         res = section_volume_integral(spec)
         assert abs(res.value - vs.value) <= res.err + vs.err
+
+
+def _assert_err_is_honest(spec, res):
+    lo, hi = exact_section_bounds(spec)
+    value, err = Fraction(res.value), Fraction(res.err)
+    assert value - err <= lo and hi <= value + err, (float(value - lo), res.err)
+
+
+class TestTinyCoordinates:
+    @pytest.mark.parametrize("a, t", [
+        ([1, 1, 1e-10], 0.2),
+        ([1, 1e-5, 1e-5, 1], 0.1),
+        ([0.754, 1.49e-7, 1.02e-9, 0.653, 0.0702], 0.689),
+    ])
+    def test_witnesses(self, a, t):
+        # expanding every tiny coordinate in the closed-form tail missed
+        # these by 4.8e-8, 3.1e-7 and 2.34, with err below 2e-9
+        spec = make_section_spec(a, t)
+        assert make_quadrature_config(spec).analytic_tail
+        res = section_volume_integral(spec)
+        _assert_err_is_honest(spec, res)
+        assert res.err <= 1e-9
+
+    def test_random_tiny_specs(self):
+        # 1 to d-1 tiny coordinates in [1e-12, 1e-4], and every third radius
+        # put where a kept frequency meets omega within the tiny span, so
+        # the averaged tail has a jump or kink inside its window
+        rng = rng_for(97)
+        for i in range(60):
+            d = int(rng.integers(3, 7))
+            j = int(rng.integers(1, d))
+            x = np.abs(rng.standard_normal(d)) + 0.05
+            x[:j] = 10.0 ** rng.uniform(-12.0, -4.0, size=j)
+            a = x / np.linalg.norm(x)
+            t = float(rng.uniform(0.0, 1.0)) * float(np.sum(a)) / 2
+            if i % 3 == 0:
+                signs = rng.choice([-1.0, 1.0], size=d - j)
+                t = abs(float(signs @ a[j:]) + float(rng.uniform(-1, 1) * np.sum(a[:j]))) / 2
+            spec = make_section_spec(rng.permutation(a), t)
+            _assert_err_is_honest(spec, section_volume_integral(spec))
+
+    @pytest.mark.parametrize("tiny", [[3e-5], [2e-5, 7e-6], [1e-5, 4e-6, 1e-6]])
+    def test_rule_averages_a_jump_exactly(self, tiny):
+        # the average of the step [s > c] over s_1 + ... + s_j, s_i uniform
+        # on [-e_i, e_i], is P(sum > c): an exact inclusion-exclusion sum
+        cut = 0.3 * tiny[0]
+        shifts, weights, _ = _tiny_average_rule(np.array(tiny), np.array([cut]), 1, 256.0, 0.0)
+        es = [Fraction(e) for e in tiny]
+        x = Fraction(cut) + sum(es)
+        below = sum(
+            (-1) ** sum(pick) * max(x - sum(2 * e for e, p in zip(es, pick) if p), 0) ** len(es)
+            for pick in itertools.product((0, 1), repeat=len(es))
+        ) / (math.factorial(len(es)) * math.prod(2 * e for e in es))
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+        assert float(weights @ (shifts > cut)) == pytest.approx(float(1 - below), abs=1e-14)
+
+    def test_omega_parts_match_float_omega(self):
+        a = np.array([0.3, 0.5, 0.6])
+        assert a.min() > TINY_COORD
+        value, _ = _tail_closed_form(a, 0.7, 200.0)
+        value_parts, _ = _tail_closed_form(a, [0.5, 0.2], 200.0)
+        assert value == value_parts
 
 
 class TestAdaptivePanels:

@@ -6,8 +6,13 @@ import pytest
 
 from hyperslice.errors import InvalidInputError, RegimeError
 from hyperslice.geometry import diagonal_section_spec, make_section_spec
+from hyperslice import maximizer
 from hyperslice.maximizer import (
+    _ascend_star,
+    _draw_start,
     _fd_lagrangian_gradient,
+    _ratio_gradient,
+    _ratio_value,
     closed_form_max,
     decay_inequality_check,
     lagrangian_gradient,
@@ -15,7 +20,7 @@ from hyperslice.maximizer import (
     pair_condition_check,
 )
 from hyperslice.parallel import worker_count
-from hyperslice.vertexsum import section_volume_vertex_sum
+from hyperslice.vertexsum import section_volume_vertex_sum, star_log_ratio
 
 from conftest import corner_spec, edge_spec, rng_for
 
@@ -205,6 +210,104 @@ class TestMaximize:
         threaded = maximize_section_volume(4, 0.95, starts=10, seed=2)
         assert threaded.best_volume == base.best_volume
         assert np.array_equal(threaded.best_direction, base.best_direction)
+
+
+def _band_specs(rng, count, dmax=60):
+    """(a, b) with a unit, sum(a)/2 - b in the band (sqrt(d-2)/2, sqrt(d)/2),
+    and up to three coordinates set small enough to fall below b.  b is
+    kept in the upper nine tenths of its range: at d near 60 the lowest b
+    make W underflow in the walk's float result."""
+    out = []
+    while len(out) < count:
+        d = int(rng.integers(3, dmax + 1))
+        lo, hi = math.sqrt(d - 2) / 2, math.sqrt(d) / 2
+        k = int(rng.integers(0, 4))
+        a = np.abs(1.0 + rng.uniform(0, 0.5) / math.sqrt(d) * rng.standard_normal(d))
+        a /= np.linalg.norm(a)
+        a[:k] = rng.uniform(0.05, 1.0, size=k) / math.sqrt(d)
+        a /= np.linalg.norm(a)
+        half = float(np.sum(a)) / 2
+        b_lo, b_hi = max(half - hi, 0.0), half - lo
+        if b_hi > b_lo:
+            out.append((rng.permutation(a), float(rng.uniform(b_lo + 0.1 * (b_hi - b_lo), b_hi))))
+    return out
+
+
+class TestBatchedStar:
+    def test_star_matches_walk(self):
+        cut_counts = set()
+        for a, b in _band_specs(rng_for(89), 500):
+            cut_counts.add(int(np.count_nonzero(a < b)))
+            log_w, g = star_log_ratio(a, b, grad=True)
+            w = math.exp(float(log_w[0]))
+            assert w == pytest.approx(_ratio_value(a, b), rel=1e-12)
+            _, grad = _ratio_gradient(a, b)
+            scale = float(np.max(np.abs(grad)))  # |grad|^2 may underflow
+            assert np.linalg.norm((w * g[0] - grad) / scale) <= (
+                1e-12 * np.linalg.norm(grad / scale))
+        assert {0, 1} <= cut_counts
+
+    @pytest.mark.parametrize("d", [12, 20, 40, 60])
+    def test_high_dimensions_reach_diagonal(self, d):
+        lo, hi = math.sqrt(d - 2) / 2, math.sqrt(d) / 2
+        for t in np.linspace(lo, hi, 5)[1:-1]:
+            rep = maximize_section_volume(d, float(t), starts=16, seed=0)
+            closed = closed_form_max(d, float(t))
+            assert rep.angle_to_diagonal < 1e-4, (d, t)
+            assert abs(rep.best_volume - closed) < 1e-9 * closed, (d, t)
+
+    @pytest.mark.parametrize("d", [12, 40])
+    def test_ascent_from_perturbed_starts(self, d):
+        # at high d few random draws clear sum(a)/2 > t; start near the
+        # diagonal instead, so every row ascends
+        rng = rng_for(d)
+        t = math.sqrt(d - 2) / 2 + 0.3 * (math.sqrt(d) - math.sqrt(d - 2)) / 2
+        a0 = 1.0 + 0.05 * rng.standard_normal((16, d))
+        a0 /= np.linalg.norm(a0, axis=1)[:, None]
+        assert np.all(np.sum(a0, axis=1) / 2 > t)
+        finals, values, converged = _ascend_star(a0, t)
+        diag = np.full(d, 1 / math.sqrt(d))
+        closed = closed_form_max(d, t)
+        assert np.all(converged)
+        assert np.all(np.arccos(np.clip(finals @ diag, -1, 1)) < 1e-4)
+        assert np.all(np.abs(values - closed) < 1e-9 * closed)
+
+    def test_below_band_runs_the_walk(self, monkeypatch):
+        # d = 7, t = 0.8 < sqrt(5)/2: vertices of weight 2 lie below some cuts
+        calls = []
+        walk = maximizer._ascend
+
+        def counted(a0, t):
+            calls.append(t)
+            return walk(a0, t)
+
+        def refuse(a0, t):
+            raise AssertionError("star ascent below the band")
+
+        monkeypatch.setattr(maximizer, "_ascend", counted)
+        monkeypatch.setattr(maximizer, "_ascend_star", refuse)
+        rep = maximize_section_volume(7, 0.8, starts=8, seed=0)
+        assert len(calls) == 8 - rep.infeasible_starts
+        assert rep.best_volume >= rep.diagonal_volume * (1 - 1e-12)
+
+    def test_infeasible_starts_reported(self):
+        rep = maximize_section_volume(7, 1.304, starts=64, seed=0)
+        assert rep.infeasible_starts == 35
+        assert rep.converged_starts <= 29
+
+    def test_draws_match_one_draw_per_call(self):
+        for d, t, seed in ((7, 1.304, 0), (5, 1.0, 3), (12, 1.66, 1)):
+            for i in range(1, 40):
+                rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+                expect = None
+                for _ in range(100):
+                    cand = np.sqrt(rng.dirichlet(np.ones(d)))
+                    if float(np.sum(cand)) / 2 - t > 0:
+                        expect = cand
+                        break
+                got = _draw_start(d, t, seed, i)
+                assert (got is None) == (expect is None)
+                assert got is None or np.array_equal(got, expect)
 
 
 class TestDecayInequality:

@@ -6,7 +6,7 @@ import pytest
 from hyperslice.errors import InvalidInputError
 from hyperslice.geometry import diagonal_section_spec, make_section_spec
 from hyperslice.montecarlo import mc_halfspace_volume, mc_section_volume
-from hyperslice.vertexsum import corner_volume, halfspace_volume, section_volume_vertex_sum
+from hyperslice.vertexsum import halfspace_volume, section_volume_vertex_sum, star_volume
 
 from conftest import rng_for, random_unit_direction
 
@@ -95,7 +95,7 @@ class TestBoxSampler:
         # draws still hits and the relative stderr stays small
         a = np.array([0.3, 0.5, 0.4, 0.7]) / math.sqrt(0.99)
         spec = make_section_spec(a, float(np.sum(a)) / 2 - 1e-3)
-        truth = corner_volume(spec)
+        truth = star_volume(spec)
         est, se = mc_section_volume(spec, N, seed=2)
         assert abs(est - truth) <= 3 * se
         assert se < 0.01 * truth

@@ -20,14 +20,21 @@ from hyperslice.geometry import (
 from hyperslice.maximizer import closed_form_max
 from hyperslice.vertexsum import (
     _halfspace_value,
-    corner_volume,
-    edge_volume,
     halfspace_volume,
     section_from_halfspace_derivative,
     section_volume_vertex_sum,
+    star_volume,
 )
 
-from conftest import corner_spec, edge_spec, rng_for, random_unit_direction, smooth_cell_spec
+from conftest import (
+    _exact_volumes,
+    _sqrt_bounds,
+    corner_spec,
+    edge_spec,
+    rng_for,
+    random_unit_direction,
+    smooth_cell_spec,
+)
 
 
 def diagonal_oracle(d, t):
@@ -153,30 +160,6 @@ class TestDeepCuts:
         assert half.value == pytest.approx(float(ref), rel=1e-12)
 
 
-def _exact_volumes(a, b):
-    """(section / ||a||, half-space) as Fractions, summed over all 2^n vertices
-    of the positive coordinates; a zero coordinate changes neither volume."""
-    pos = [Fraction(float(x)) for x in a if x > 0.0]
-    n, bb = len(pos), Fraction(b)
-    sec = half = Fraction(0)
-    for v in itertools.product((0, 1), repeat=n):
-        gap = bb - sum(x for x, vi in zip(pos, v) if vi)
-        if gap >= 0:
-            sign = -1 if sum(v) & 1 else 1
-            sec += sign * gap ** (n - 1)
-            half += sign * gap**n
-    prod = math.prod(pos)
-    return sec / (math.factorial(n - 1) * prod), half / (math.factorial(n) * prod)
-
-
-def _sqrt_bounds(x: Fraction, bits=200):
-    """Rationals lo <= sqrt(x) <= hi with hi - lo = 2^-bits / x.denominator."""
-    num = x.numerator * x.denominator << (2 * bits)
-    root = math.isqrt(num)
-    den = x.denominator << bits
-    return Fraction(root, den), Fraction(root + 1, den)
-
-
 @st.composite
 def near_vertex_cuts(draw):
     """Directions with repeated values, exact zeros, subnormal and tiny
@@ -249,12 +232,15 @@ class TestHalfspaceVolume:
 
 
 class TestCornerAndEdgeForms:
+    """The corner (origin alone below) and edge (one neighbour) cuts are
+    star cuts; ``star_volume`` covers both and any set of neighbours."""
+
     def test_corner_matches_general_sum(self):
         rng = rng_for(41)
         for d in range(3, 11):
             for _ in range(6):
                 spec = corner_spec(rng, d)
-                assert corner_volume(spec) == pytest.approx(
+                assert star_volume(spec) == pytest.approx(
                     section_volume_vertex_sum(spec).value, rel=1e-12
                 )
 
@@ -262,24 +248,50 @@ class TestCornerAndEdgeForms:
         a = np.array([0.8, 0.36, 0.48])
         spec = make_section_spec(a, float(np.sum(a)) / 2 - 0.2)
         prod = float(np.prod(a))
-        assert corner_volume(spec) == pytest.approx(spec.offset**2 / (2 * prod), rel=1e-13)
+        assert star_volume(spec) == pytest.approx(spec.offset**2 / (2 * prod), rel=1e-13)
 
     def test_corner_wrong_regime(self):
-        with pytest.raises(RegimeError):
-            corner_volume(make_section_spec([1, 1], 0.0))  # three vertices below
+        # three vertices below: the origin and both neighbours, still a star
+        spec = make_section_spec([1, 1], 0.0)
+        assert star_volume(spec) == pytest.approx(math.sqrt(2), rel=1e-14)
+        with pytest.raises(RegimeError):  # e_i + e_j below the cut
+            star_volume(diagonal_section_spec(6, 0.3))
+        with pytest.raises(RegimeError):  # nothing below
+            star_volume(make_section_spec([1, 1, 1], 1.0))
 
     def test_edge_matches_general_sum(self):
         rng = rng_for(43)
         for d in range(3, 11):
             for _ in range(6):
                 spec = edge_spec(rng, d)
-                assert edge_volume(spec) == pytest.approx(
+                assert star_volume(spec) == pytest.approx(
                     section_volume_vertex_sum(spec).value, rel=1e-12
                 )
 
     def test_edge_wrong_regime(self):
+        # d = 4, t = 0.9: b = 0.1 lies below every coordinate, a corner cut
+        spec = diagonal_section_spec(4, 0.9)
+        assert star_volume(spec) == pytest.approx(
+            section_volume_vertex_sum(spec).value, rel=1e-13)
         with pytest.raises(RegimeError):
-            edge_volume(diagonal_section_spec(4, 0.9))
+            star_volume(diagonal_section_spec(5, 0.1))
+
+    def test_star_matches_general_sum(self):
+        # any number of neighbours below, short of a weight-2 vertex
+        rng = rng_for(47)
+        cut_counts = set()
+        for d in range(3, 13):
+            for _ in range(12):
+                a = random_unit_direction(rng, d)
+                low = np.sort(a)[:2]
+                b = float(rng.uniform(0.05, 1.0)) * min(float(low[0] + low[1]),
+                                                         float(np.sum(a)) / 2)
+                spec = make_section_spec(a, float(np.sum(a)) / 2 - b)
+                cut_counts.add(int(np.count_nonzero(spec.direction < spec.offset)))
+                assert star_volume(spec) == pytest.approx(
+                    section_volume_vertex_sum(spec).value, rel=1e-12
+                )
+        assert {0, 1, 2, 3} <= cut_counts
 
     def test_edge_tends_to_corner_form(self):
         # as the low coordinate climbs to the offset, the second term dies
@@ -292,7 +304,7 @@ class TestCornerAndEdgeForms:
             b = float(a.min()) + eps
             spec = make_section_spec(a, float(np.sum(a)) / 2 - b)
             corner_form = b**4 / (24 * prod)
-            diffs.append(abs(edge_volume(spec) - corner_form))
+            diffs.append(abs(star_volume(spec) - corner_form))
             target = corner_form
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] <= 1e-14 * max(target, 1e-300)
@@ -303,7 +315,9 @@ class TestCornerAndEdgeForms:
         reduced = section_volume_vertex_sum(make_section_spec(rest, t)).value
         for eps, tol in ((1e-4, 1e-3), (1e-6, 1e-5)):
             full = make_section_spec(np.concatenate([[eps], rest]), t)
-            assert edge_volume(full) == pytest.approx(reduced, rel=tol)
+            assert star_volume(full) == pytest.approx(reduced, rel=tol)
+        assert star_volume(make_section_spec(np.concatenate([[0.0], rest]), t)) == (
+            pytest.approx(reduced, rel=1e-13))
 
 
 class TestHalfspaceDerivative:
