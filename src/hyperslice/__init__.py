@@ -29,9 +29,7 @@ from .geometry import (
     CutKind,
     SectionSpec,
     VolumeResult,
-    canonicalize,
     classify_cut,
-    coordinate_product,
     coordinate_sum,
     diagonal_section_spec,
     make_section_spec,
@@ -80,11 +78,9 @@ __all__ = [
     "SectionSpec",
     "VolumeResult",
     "adaptive_panel_integral",
-    "canonicalize",
     "certify_signs_rigorous",
     "classify_cut",
     "closed_form_max",
-    "coordinate_product",
     "coordinate_sum",
     "decay_inequality_check",
     "default_y_grid",

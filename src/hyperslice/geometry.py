@@ -87,15 +87,6 @@ def coordinate_sum(x) -> float:
     return math.fsum(np.asarray(x, dtype=float))
 
 
-def coordinate_product(x) -> float:
-    """Product of coordinates."""
-    x = np.asarray(x, dtype=float)
-    out = 1.0
-    for v in x:
-        out *= v
-    return out
-
-
 def make_section_spec(a_raw, t: float) -> SectionSpec:
     """Build a SectionSpec from a raw (unnormalized) direction and radius.
 
@@ -134,16 +125,6 @@ def diagonal_section_spec(d: int, t: float) -> SectionSpec:
     root = math.sqrt(d)
     a = np.full(d, 1.0 / root)
     return SectionSpec(dim=d, direction=a, radius=float(t), offset=root / 2.0 - t)
-
-
-def canonicalize(a) -> np.ndarray:
-    """Sort coordinates in descending order.
-
-    Quotients out the coordinate permutations of the cube's symmetry group;
-    every volume function here is invariant under this map.
-    """
-    a = np.asarray(a, dtype=float)
-    return np.sort(a)[::-1].copy()
 
 
 class IntegerCut(NamedTuple):

@@ -4,13 +4,14 @@ The objective on the unit sphere within the nonnegative orthant is the
 vertex-sum section volume; its constrained stationary points are analyzed
 through the Lagrangian L = V/||a|| + lambda (||a||^2 - 1).  Multistart
 projected gradient ascent locates the maximizer, which in the shallow-cut
-radius regimes is the cube diagonal; the closed form at the diagonal is
-d^(d/2)/(d-1)! (sqrt(d)/2 - t)^(d-1).
+radius regimes is the cube diagonal; ``closed_form_max`` gives the volume
+there as one exact integer sum for every radius.
 
-In the band t > sqrt(d-2)/2 the ball holds every square-face center, so no
-vertex of weight 2 lies below any cut and the volume has the O(d) star form
-of ``vertexsum.star_log_ratio``; there all starts ascend together, as one
-array, in floats.  Below the band each start ascends on the exact grouped
+All starts ascend together, as one array, in one loop (``_ascend``); the
+regime only chooses its objective.  In the band t > sqrt(d-2)/2 the ball
+holds every square-face center, so no vertex of weight 2 lies below any
+cut and the volume has the O(d) star form of ``vertexsum.star_log_ratio``,
+evaluated in floats.  Below the band each row takes one exact grouped
 vertex walk.  Either way the report's volume, multiplier and residual come
 from one exact walk at the chosen direction.
 """
@@ -28,7 +29,6 @@ from .geometry import (
     CutKind,
     IntegerCut,
     SectionSpec,
-    classify_count,
     classify_cut,
     integer_cut,
     vertex_terms,
@@ -38,7 +38,6 @@ from .vertexsum import _vertex_sum, star_log_ratio
 MAX_ITERATIONS = 500
 INITIAL_STEP = 0.1
 STEP_GRAD_TOL = 1e-12
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,13 +57,14 @@ def closed_form_max(d: int, t: float) -> float:
     """Section volume at the diagonal direction; 0 once the hyperplane
     clears the cube (t >= sqrt(d)/2).
 
-    With gap = sqrt(d)/2 - t, it is d^(d/2)/(d-1)! gap^(d-1) while only the
-    origin lies below the cut (gap < 1/sqrt(d)), and otherwise the vertex
-    sum over the layers |v| = k < x, x = gap sqrt(d) = d/2 - t sqrt(d):
-    sqrt(d)/(d-1)! sum_k (-1)^k C(d,k) (x - k)^(d-1).  That sum cancels about
-    0.6 d bits, so x is fixed to 2^-(64+d) (it moves the value by about
-    d 2^-(64+d) relative) and the sum runs exactly in integers, as the
-    grouped vertex walk over one group of d unit coordinates.
+    It is the vertex sum over the layers |v| = k < x, x = d/2 - t sqrt(d):
+    sqrt(d)/(d-1)! sum_k (-1)^k C(d,k) (x - k)^(d-1), which is
+    d^(d/2)/(d-1)! (sqrt(d)/2 - t)^(d-1) while only the origin lies below
+    (x < 1).  The sum cancels about 0.6 d bits, so x is fixed to
+    2^-(64+d) (it moves the value by about d 2^-(64+d) relative) and the
+    sum runs exactly in integers, as the grouped vertex walk over one group
+    of d unit coordinates, at every t.  At large d a shallow value
+    underflows to 0 rather than overflowing.
     """
     if d < 2:
         raise InvalidInputError("d must be at least 2")
@@ -73,8 +73,6 @@ def closed_form_max(d: int, t: float) -> float:
     gap = math.sqrt(d) / 2.0 - t
     if gap <= 0.0:
         return 0.0
-    if gap < 1.0 / math.sqrt(d):
-        return d ** (d / 2.0) / math.factorial(d - 1) * gap ** (d - 1)
     p = 64 + d
     num, den = float(t).as_integer_ratio()
     # x 2^p, rounded up: t sqrt(d) 2^p = sqrt(t^2 d 2^(2p)) is floored
@@ -87,22 +85,22 @@ def closed_form_max(d: int, t: float) -> float:
 
 
 def _ratio_gradient(a: np.ndarray, b: float):
-    """Vertex count and gradient of W(a) = (section volume)/||a|| inside a
-    fixed vertex cell, from one walk.
+    """W(a) = (section volume)/||a|| and its gradient inside a fixed vertex
+    cell, from one walk.
 
     W = S / ((d-1)! prod(a)) with S the signed sum of (b - a.v)^(d-1) over
     the near vertices; b = sum(a)/2 - t contributes d b/d a_i = 1/2, so
     dS/da_i = sum_v (-1)^|v| (d-1) (b - a.v)^(d-2) (1/2 - v_i).  A grouped
     term takes k_g of the m_g coordinates equal to a_i, so v_i = 1 on the
     share k_g/m_g of its vertices and it adds
-    weight (d-1) gap^(d-2) (1/2 - k_g/m_g).
+    weight (d-1) gap^(d-2) (1/2 - k_g/m_g).  W is the exact sum divided
+    once, as in ``vertexsum._vertex_sum``.
     """
     d = a.size
     cut = integer_cut(a, b)
-    count = s_val = s_low = 0
+    s_val = s_low = 0
     s_takes = [0] * len(cut.mults)
     for weight, gap, takes in vertex_terms(cut):
-        count += abs(weight)
         low = weight * gap ** (d - 2)
         s_val += low * gap
         s_low += low
@@ -118,54 +116,22 @@ def _ratio_gradient(a: np.ndarray, b: float):
         for x, m, sk in zip(cut.coords, cut.mults, s_takes)
     }
     grad = np.array([by_coord[x] for x in a.tolist()])
-    return count, grad - w_val / a
+    return w_val, grad - w_val / a
 
 
-def _ratio_value(a: np.ndarray, b: float) -> float:
-    """W(a) = S / ((d-1)! prod(a)), the exact sum divided once."""
-    return _vertex_sum(a, b, 0)[1]
-
-
-def lagrangian_gradient(spec: SectionSpec, lam: float, allow_fd: bool = False):
+def lagrangian_gradient(spec: SectionSpec, lam: float):
     """Gradient of L = V/||a|| + lam (||a||^2 - 1) at the spec's direction.
 
-    Analytic in the corner and edge regimes; other cut kinds fall back to
-    central finite differences of the vertex-sum objective when allowed.
-    Returns (gradient, analytic_flag).
+    Exact for every cut kind (``_ratio_gradient``); on a cell boundary,
+    where a vertex lies on the hyperplane, it is the one-sided gradient
+    that counts that vertex below.  Returns (gradient, analytic_flag), the
+    flag always True.
     """
     a = spec.direction
     if np.any(a <= 0.0):
         raise RegimeError("all coordinates must be positive for the gradient")
-    count, grad = _ratio_gradient(a, spec.offset)
-    # one vertex below is a corner cut, two an edge cut
-    if count in (1, 2) and spec.offset > 0.0:
-        return grad + 2.0 * lam * a, True
-    if not allow_fd:
-        kind = classify_count(a, spec.offset, count).kind
-        raise RegimeError(
-            f"no analytic gradient for cut kind {kind.value}; "
-            "pass allow_fd=True for the finite-difference fallback"
-        )
-    return _fd_lagrangian_gradient(a, spec.radius, lam), False
-
-
-def _lagrangian_value(a_raw: np.ndarray, t: float, lam: float) -> float:
-    """V/||a|| + lam (||a||^2 - 1) at a possibly non-unit direction."""
-    b = float(np.sum(a_raw)) / 2.0 - t
-    return _ratio_value(a_raw, b) + lam * (float(a_raw @ a_raw) - 1.0)
-
-
-def _fd_lagrangian_gradient(a: np.ndarray, t: float, lam: float) -> np.ndarray:
-    grad = np.zeros(a.size)
-    for i in range(a.size):
-        hi = a.copy()
-        lo = a.copy()
-        hi[i] += FD_STEP
-        lo[i] -= FD_STEP
-        grad[i] = (_lagrangian_value(hi, t, lam) - _lagrangian_value(lo, t, lam)) / (
-            2.0 * FD_STEP
-        )
-    return grad
+    _, grad = _ratio_gradient(a, spec.offset)
+    return grad + 2.0 * lam * a, True
 
 
 def pair_condition_check(spec: SectionSpec) -> np.ndarray:
@@ -210,86 +176,56 @@ def pair_condition_check(spec: SectionSpec) -> np.ndarray:
     return np.array(res)
 
 
-def _project(a: np.ndarray):
-    """Renormalize a candidate iterate; reject ones leaving the open orthant.
-
-    The volume formulas are singular on boundary faces, and boundary
-    directions are never optimal in the covered radius regimes, so a step
-    that would clamp a coordinate to zero is instead shortened by the
-    caller's line search.
-    """
-    if np.any(a <= 0.0):
-        return None
-    return a / float(np.linalg.norm(a))
-
-
-def _ascend(a0: np.ndarray, t: float):
-    """Projected gradient ascent from one start on the exact vertex walk;
-    returns (a, value, converged).
-
-    The ascent direction is the tangential gradient of log V rather than of
-    V itself: the two are parallel, but the log form makes the step size
-    scale-free (V ranges over many orders of magnitude across (d, t)), so a
-    fixed initial step works everywhere.  Armijo backtracking halves the
-    step from 0.1; a start counts as converged once step * ||grad|| falls
-    below tolerance without further improvement.
-    """
-    a = a0
-    b = float(np.sum(a)) / 2.0 - t
-    value = _ratio_value(a, b)
-    converged = False
-    for _ in range(MAX_ITERATIONS):
-        if value <= 0.0:
-            break
-        _, grad = _ratio_gradient(a, b)
-        tangent = (grad - float(grad @ a) * a) / value
-        gnorm = float(np.linalg.norm(tangent))
-        if INITIAL_STEP * gnorm < STEP_GRAD_TOL:
-            converged = True
-            break
-        log_value = math.log(value)
-        step = INITIAL_STEP
-        accepted = False
-        while step * gnorm >= STEP_GRAD_TOL:
-            cand = _project(a + step * tangent)
-            if cand is not None:
-                b_c = float(np.sum(cand)) / 2.0 - t
-                val_c = _ratio_value(cand, b_c)
-                if val_c > 0.0 and math.log(val_c) > log_value + 1e-4 * step * gnorm * gnorm:
-                    a, b, value = cand, b_c, val_c
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            converged = True
-            break
-    return a, value, converged
-
-
 def _star_objective(a: np.ndarray, t: float, grad: bool = False):
-    """log V and, with ``grad``, its gradient for unit rows a in the band."""
+    """log W and, with ``grad``, its gradient for unit rows a in the band."""
     return star_log_ratio(a, np.sum(a, axis=1) / 2.0 - t, grad)
 
 
-def _ascend_star(a0: np.ndarray, t: float):
-    """The ascent of ``_ascend`` for all rows of a0 at once, on the star
-    form; returns (rows, values, converged flags).
+def _walk_objective(a: np.ndarray, t: float, grad: bool = False):
+    """log W and, with ``grad``, its gradient for rows a at any radius, from
+    one exact walk per row; -inf, without a walk, for rows with a
+    nonpositive coordinate or b <= 0."""
+    b = np.sum(a, axis=1) / 2.0 - t
+    log_w = np.full(a.shape[0], -np.inf)
+    g = np.zeros(a.shape)
+    for r in np.flatnonzero(np.all(a > 0.0, axis=1) & (b > 0.0)):
+        if grad:
+            w, g_w = _ratio_gradient(a[r], float(b[r]))
+            g[r] = g_w / w
+        else:
+            w = _vertex_sum(a[r], float(b[r]), 0)[1]
+        if w > 0.0:
+            log_w[r] = math.log(w)
+    return (log_w, g) if grad else log_w
 
-    Each row keeps its own Armijo step from 0.1, its own log-value test
-    and its own convergence flag, and leaves the array once it converges.
-    A line search probes in up to three array calls: the step 0.1 of every
-    row, then the next three halvings of the rows that failed it, then all
-    remaining halvings down to tolerance; each row takes the first step
-    that passes, as backtracking would.
+
+def _ascend(a0: np.ndarray, t: float, objective):
+    """Projected gradient ascent on the unit sphere from every row of a0 at
+    once; returns (rows, values, converged flags).
+
+    ``objective(a, t, grad)`` gives log V for unit rows a (-inf where V
+    vanishes) and, with ``grad``, its gradient.  The ascent direction is the
+    tangential gradient of log V rather than of V itself: the two are
+    parallel, but the log form makes the step size scale-free (V ranges
+    over many orders of magnitude across (d, t)), so a fixed initial step
+    works everywhere.  Each row keeps its own Armijo step, halved from 0.1,
+    and leaves the array once it converges: when step * ||grad|| falls
+    below tolerance, or no halving above it improves.  The volume formulas
+    are singular on the boundary faces, and boundary directions are never
+    optimal in the covered radius regimes, so a step that leaves the open
+    orthant fails and is halved.  A line search probes in array calls, the
+    k-th trying the next 2^k halvings (1, 2, 4, ...) of the rows with no
+    passing step yet; each row takes the first step that passes, as
+    backtracking would.
     """
     a = a0.copy()
-    log_v = _star_objective(a, t)
+    log_v = objective(a, t)
     converged = np.zeros(a.shape[0], dtype=bool)
     active = np.flatnonzero(np.isfinite(log_v))
     for _ in range(MAX_ITERATIONS):
         if active.size == 0:
             break
-        _, g = _star_objective(a[active], t, grad=True)
+        _, g = objective(a[active], t, grad=True)
         x = a[active]
         tangent = g - np.sum(g * x, axis=1)[:, None] * x
         gnorm = np.linalg.norm(tangent, axis=1)
@@ -302,16 +238,20 @@ def _ascend_star(a0: np.ndarray, t: float):
         steps = INITIAL_STEP * 0.5 ** np.arange(halvings)
         usable = steps[None, :] * gnorm[:, None] >= STEP_GRAD_TOL
         chosen = np.full(active.size, -1)
-        for ks in (slice(0, 1), slice(1, 4), slice(4, halvings)):
+        ks = slice(0, 1)
+        while ks.start < halvings:
+            # usable is a prefix of each row, so a row left without a
+            # usable step here has none in later calls either
             rows = np.flatnonzero((chosen < 0) & usable[:, ks].any(axis=1))
             if rows.size == 0:
-                continue
+                break
             step = steps[ks]
             cand = a[active[rows], None, :] + step[None, :, None] * tangent[rows, None, :]
-            inside = np.all(cand > 0.0, axis=2)
+            ok = usable[rows, ks] & np.all(cand > 0.0, axis=2)
             cand /= np.linalg.norm(cand, axis=2)[:, :, None]
-            log_c = _star_objective(cand.reshape(-1, cand.shape[2]), t).reshape(inside.shape)
-            win = usable[rows, ks] & inside & (
+            log_c = np.full(ok.shape, -np.inf)
+            log_c[ok] = objective(cand[ok], t)
+            win = ok & (
                 log_c > log_v[active[rows], None] + 1e-4 * step[None, :] * gnorm[rows, None] ** 2)
             hit = win.any(axis=1)
             first = np.argmax(win, axis=1)
@@ -319,6 +259,7 @@ def _ascend_star(a0: np.ndarray, t: float):
             chosen[won] = first[hit] + ks.start
             a[active[won]] = cand[hit, first[hit]]
             log_v[active[won]] = log_c[hit, first[hit]]
+            ks = slice(ks.stop, 2 * ks.stop + 1)
         converged[active[chosen < 0]] = True
         active = active[chosen >= 0]
     return a, np.exp(log_v), converged
@@ -345,9 +286,10 @@ def maximize_section_volume(
 
     Start directions are the diagonal plus square roots of flat-Dirichlet
     samples with sum(a)/2 > t, up to 100 draws per start; a start with no
-    such draw is infeasible and does not run.  In the band
-    t > sqrt(d-2)/2 the starts ascend together on the star form
-    (``_ascend_star``), below it one by one on the exact walk (``_ascend``).
+    such draw is infeasible and does not run.  All starts ascend together
+    (``_ascend``), in the band t > sqrt(d-2)/2 on the star form
+    (``_star_objective``) and below it on the exact walk
+    (``_walk_objective``).
     Each start is pure given its substream, and the best result is
     selected in start order, so reports are reproducible.
     """
@@ -371,10 +313,8 @@ def maximize_section_volume(
 
     drawn = [diag.copy()] + [_draw_start(d, t, seed, i) for i in range(1, starts)]
     ran = [a0 for a0 in drawn if a0 is not None]
-    if t > math.sqrt(d - 2) / 2.0:
-        finals, values, conv = _ascend_star(np.array(ran), t)
-    else:
-        finals, values, conv = map(np.array, zip(*(_ascend(a0, t) for a0 in ran)))
+    objective = _star_objective if t > math.sqrt(d - 2) / 2.0 else _walk_objective
+    finals, values, conv = _ascend(np.array(ran), t, objective)
 
     # the first start with the largest value, as in start order
     best = int(np.argmax(values))
@@ -389,12 +329,12 @@ def maximize_section_volume(
     best_a = finals[best]
     cosang = float(np.clip(best_a @ diag, -1.0, 1.0))
     b = float(np.sum(best_a)) / 2.0 - t
-    _, grad = _ratio_gradient(best_a, b)
+    w, grad = _ratio_gradient(best_a, b)
     lam = -float(grad @ best_a) / 2.0
     residual = float(np.linalg.norm(grad + 2.0 * lam * best_a))
     return OptimizerReport(
         best_direction=best_a,
-        best_volume=_ratio_value(best_a, b),
+        best_volume=w,
         angle_to_diagonal=math.acos(cosang),
         multiplier=lam,
         residual_norm=residual,

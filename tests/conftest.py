@@ -1,5 +1,5 @@
-"""Shared seeded generators for test specs in known cut regimes, and exact
-reference volumes."""
+"""Shared seeded generators for test specs in known cut regimes, exact
+reference volumes and a finite-difference reference gradient."""
 
 import itertools
 import math
@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from hyperslice.geometry import make_section_spec
+from hyperslice.vertexsum import section_volume_vertex_sum
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -92,3 +93,25 @@ def exact_section_bounds(spec):
     ratio, _ = _exact_volumes(spec.direction, spec.offset)
     lo, hi = _sqrt_bounds(sum(Fraction(float(x)) ** 2 for x in spec.direction if x > 0.0))
     return ratio * lo, ratio * hi
+
+
+def lagrangian_fd(spec, lam, h=1e-6):
+    """Central differences, step h, of L(a) = V(a)/||a|| + lam (||a||^2 - 1)
+    at the spec's direction, where V(a) is the vertex-sum section at the
+    spec's radius of the unnormalized direction a.  The spec must keep
+    every vertex more than about h from its hyperplane."""
+    t = spec.radius
+
+    def value(vec):
+        norm = float(np.linalg.norm(vec))
+        unit = section_volume_vertex_sum(make_section_spec(vec, t / norm)).value
+        return unit / norm + lam * (norm * norm - 1.0)
+
+    a = spec.direction
+    grad = np.zeros(a.size)
+    for i in range(a.size):
+        hi, lo = a.copy(), a.copy()
+        hi[i] += h
+        lo[i] -= h
+        grad[i] = (value(hi) - value(lo)) / (2 * h)
+    return grad

@@ -14,3 +14,8 @@ def test_import_loads_numpy_alone():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["numpy"]
+
+
+def test_every_export_exists():
+    for name in hyperslice.__all__:
+        getattr(hyperslice, name)

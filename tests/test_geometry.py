@@ -12,9 +12,7 @@ from scipy.stats import irwinhall
 from hyperslice.errors import CapacityError, InvalidInputError
 from hyperslice.geometry import (
     CutKind,
-    canonicalize,
     classify_cut,
-    coordinate_product,
     coordinate_sum,
     diagonal_section_spec,
     make_section_spec,
@@ -113,12 +111,6 @@ class TestMakeSectionSpec:
 class TestCoordinateHelpers:
     def test_sum(self):
         assert coordinate_sum([1, 0, 1, 1]) == 3
-
-    def test_product(self):
-        assert coordinate_product([0.5, 0.5]) == 0.25
-
-    def test_product_with_zero(self):
-        assert coordinate_product([0.3, 0.0, 2.0]) == 0.0
 
 
 class TestVerticesBelow:
@@ -220,29 +212,6 @@ class TestClassifyCut:
                 classify_cut(diagonal_section_spec(d, neighbor_level - 1e-9)).count_below
                 == d + 1
             )
-
-
-class TestCanonicalize:
-    def test_already_sorted(self):
-        assert canonicalize([0.8, 0.6, 0.0]).tolist() == [0.8, 0.6, 0.0]
-
-    def test_sorts_descending(self):
-        assert canonicalize([0.0, 0.6, 0.8]).tolist() == [0.8, 0.6, 0.0]
-
-    def test_constant_fixed_point(self):
-        assert canonicalize([0.5, 0.5, 0.5]).tolist() == [0.5] * 3
-
-    @given(
-        st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=8),
-        st.randoms(use_true_random=False),
-    )
-    def test_idempotent_and_permutation_invariant(self, coords, pyrandom):
-        arr = np.array(coords)
-        once = canonicalize(arr)
-        assert np.array_equal(canonicalize(once), once)
-        shuffled = list(coords)
-        pyrandom.shuffle(shuffled)
-        assert np.array_equal(canonicalize(np.array(shuffled)), once)
 
 
 @settings(max_examples=60, deadline=None)

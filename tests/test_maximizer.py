@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from hyperslice.errors import InvalidInputError, RegimeError
-from hyperslice.geometry import diagonal_section_spec, make_section_spec
+from hyperslice.geometry import classify_cut, diagonal_section_spec, make_section_spec
 from hyperslice import maximizer
 from hyperslice.maximizer import (
-    _ascend_star,
+    _ascend,
     _draw_start,
-    _fd_lagrangian_gradient,
     _ratio_gradient,
-    _ratio_value,
+    _star_objective,
     closed_form_max,
     decay_inequality_check,
     lagrangian_gradient,
@@ -20,14 +19,15 @@ from hyperslice.maximizer import (
     pair_condition_check,
 )
 from hyperslice.parallel import worker_count
-from hyperslice.vertexsum import section_volume_vertex_sum, star_log_ratio
+from hyperslice.vertexsum import _vertex_sum, section_volume_vertex_sum, star_log_ratio
 
-from conftest import corner_spec, edge_spec, rng_for
+from conftest import corner_spec, edge_spec, lagrangian_fd, rng_for, smooth_cell_spec
 
 
 class TestClosedFormMax:
     def test_d5_radius_one(self):
-        expect = 5**2.5 / 24 * (math.sqrt(5) / 2 - 1) ** 4
+        with mpmath.workprec(400):
+            expect = float(mpmath.sqrt(5) ** 5 / 24 * (mpmath.sqrt(5) / 2 - 1) ** 4)
         assert closed_form_max(5, 1.0) == pytest.approx(expect, rel=1e-15)
 
     def test_zero_beyond_circumradius(self):
@@ -43,11 +43,15 @@ class TestClosedFormMax:
                     section_volume_vertex_sum(spec).value, rel=1e-12
                 )
 
-    @pytest.mark.parametrize("d", [5, 12, 20, 40, 60])
+    @pytest.mark.parametrize("d", [5, 12, 20, 40, 60, 172, 200])
     def test_deep_cuts_match_400_bit_sum(self, d):
-        # below t = sqrt(d)/2 - 1/sqrt(d) more vertices than the origin lie
-        # under the cut and the single-term formula no longer holds
-        for t in (0.0, 0.1, 0.3, math.sqrt(d) / 2 - 1.5 / math.sqrt(d)):
+        # the layers k < sqrt(d) (sqrt(d)/2 - t) lie under the cut: the
+        # origin alone for the last three radii, and more for the others; at
+        # d = 172 and 200 the shallow values are subnormal or underflow to 0
+        root_d = math.sqrt(d)
+        for t in (0.0, 0.1, 0.3, root_d / 2 - 1.5 / root_d,
+                  root_d / 2 - 0.9 / root_d, root_d / 2 - 0.5 / root_d,
+                  root_d / 2 - 0.1 / root_d):
             with mpmath.workprec(400):
                 root = mpmath.sqrt(d)
                 gap = root / 2 - mpmath.mpf(t)
@@ -55,8 +59,9 @@ class TestClosedFormMax:
                     (-1) ** k * mpmath.binomial(d, k) * (gap - k / root) ** (d - 1)
                     for k in range(d + 1) if k < gap * root
                 )
-                ref = float(root**d / mpmath.factorial(d - 1) * total)
-            assert closed_form_max(d, t) == pytest.approx(ref, rel=1e-15), t
+                ref = root**d / mpmath.factorial(d - 1) * total
+                # 1e-15 relative, or the correct rounding of a subnormal
+                assert abs(closed_form_max(d, t) - ref) <= 1e-15 * ref + mpmath.mpf(math.ulp(0.0)) / 2, t
 
     def test_deep_cuts_match_vertex_sum(self):
         assert closed_form_max(20, 0.1) == pytest.approx(1.2939616198258, rel=1e-12)
@@ -87,7 +92,7 @@ class TestLagrangianGradient:
                 lam = float(rng.uniform(-1, 1))
                 grad, analytic = lagrangian_gradient(spec, lam)
                 assert analytic
-                fd = _fd_lagrangian_gradient(spec.direction, spec.radius, lam)
+                fd = lagrangian_fd(spec, lam)
                 assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
 
     def test_edge_gradient_matches_fd(self):
@@ -98,7 +103,7 @@ class TestLagrangianGradient:
                 lam = float(rng.uniform(-1, 1))
                 grad, analytic = lagrangian_gradient(spec, lam)
                 assert analytic
-                fd = _fd_lagrangian_gradient(spec.direction, spec.radius, lam)
+                fd = lagrangian_fd(spec, lam)
                 assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
 
     def test_diagonal_stationarity_residual(self):
@@ -111,14 +116,32 @@ class TestLagrangianGradient:
             assert residual <= 1e-10
 
     def test_deep_cut_needs_fallback(self):
+        # no fallback: the exact gradient serves deep cuts and ties too
         spec = diagonal_section_spec(4, 0.45)  # five vertices below
+        grad, analytic = lagrangian_gradient(spec, 0.1)
+        assert analytic
+        assert np.linalg.norm(grad - lagrangian_fd(spec, 0.1)) <= 1e-6 * np.linalg.norm(grad)
+        # e_1 and e_2 on the hyperplane: three vertices below, one a tie
+        grad, _ = lagrangian_gradient(make_section_spec([1, 1], 0.0), 0.1)
+        assert grad.shape == (2,) and np.all(np.isfinite(grad))
+
+    def test_random_deep_cuts_match_fd(self):
+        rng = rng_for(73)
+        for d in range(4, 9):
+            done = 0
+            while done < 16:
+                spec = smooth_cell_spec(rng, d)
+                if classify_cut(spec).count_below <= 2:
+                    continue
+                lam = float(rng.uniform(-1, 1))
+                grad, _ = lagrangian_gradient(spec, lam)
+                fd = lagrangian_fd(spec, lam)
+                assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad), (d, spec)
+                done += 1
+
+    def test_nonpositive_coordinate_rejected(self):
         with pytest.raises(RegimeError):
-            lagrangian_gradient(spec, 0.1)
-        with pytest.raises(RegimeError):  # three vertices below
-            lagrangian_gradient(make_section_spec([1, 1], 0.0), 0.1)
-        grad, analytic = lagrangian_gradient(spec, 0.1, allow_fd=True)
-        assert not analytic
-        assert grad.shape == (4,)
+            lagrangian_gradient(make_section_spec([1, 0, 1], 0.3), 0.1)
 
     def test_edge_partials_continuous_at_corner_boundary(self):
         # as the low coordinate reaches the offset, edge partials meet corner ones
@@ -240,8 +263,9 @@ class TestBatchedStar:
             cut_counts.add(int(np.count_nonzero(a < b)))
             log_w, g = star_log_ratio(a, b, grad=True)
             w = math.exp(float(log_w[0]))
-            assert w == pytest.approx(_ratio_value(a, b), rel=1e-12)
-            _, grad = _ratio_gradient(a, b)
+            w_walk, grad = _ratio_gradient(a, b)
+            assert w_walk == _vertex_sum(a, b, 0)[1]  # the same single division
+            assert w == pytest.approx(w_walk, rel=1e-12)
             scale = float(np.max(np.abs(grad)))  # |grad|^2 may underflow
             assert np.linalg.norm((w * g[0] - grad) / scale) <= (
                 1e-12 * np.linalg.norm(grad / scale))
@@ -265,7 +289,7 @@ class TestBatchedStar:
         a0 = 1.0 + 0.05 * rng.standard_normal((16, d))
         a0 /= np.linalg.norm(a0, axis=1)[:, None]
         assert np.all(np.sum(a0, axis=1) / 2 > t)
-        finals, values, converged = _ascend_star(a0, t)
+        finals, values, converged = _ascend(a0, t, _star_objective)
         diag = np.full(d, 1 / math.sqrt(d))
         closed = closed_form_max(d, t)
         assert np.all(converged)
@@ -273,22 +297,26 @@ class TestBatchedStar:
         assert np.all(np.abs(values - closed) < 1e-9 * closed)
 
     def test_below_band_runs_the_walk(self, monkeypatch):
-        # d = 7, t = 0.8 < sqrt(5)/2: vertices of weight 2 lie below some cuts
+        # below t = sqrt(d-2)/2 vertices of weight 2 lie below some cuts
         calls = []
-        walk = maximizer._ascend
+        for name in ("_star_objective", "_walk_objective"):
+            def counted(a, t, grad=False, name=name, real=getattr(maximizer, name)):
+                calls.append(name)
+                return real(a, t, grad)
 
-        def counted(a0, t):
-            calls.append(t)
-            return walk(a0, t)
-
-        def refuse(a0, t):
-            raise AssertionError("star ascent below the band")
-
-        monkeypatch.setattr(maximizer, "_ascend", counted)
-        monkeypatch.setattr(maximizer, "_ascend_star", refuse)
-        rep = maximize_section_volume(7, 0.8, starts=8, seed=0)
-        assert len(calls) == 8 - rep.infeasible_starts
-        assert rep.best_volume >= rep.diagonal_volume * (1 - 1e-12)
+            monkeypatch.setattr(maximizer, name, counted)
+        edge = math.sqrt(5) / 2
+        for t, objective in ((edge, "_walk_objective"),
+                             (math.nextafter(edge, 2.0), "_star_objective")):
+            calls.clear()
+            maximize_section_volume(7, t, starts=4, seed=0)
+            assert set(calls) == {objective}, t
+        for d, t in ((6, 0.93), (7, 0.8)):
+            calls.clear()
+            rep = maximize_section_volume(d, t, starts=8, seed=0)
+            assert set(calls) == {"_walk_objective"}
+            assert rep.angle_to_diagonal < 1e-4, (d, t)
+            assert rep.best_volume >= rep.diagonal_volume * (1 - 1e-12)
 
     def test_infeasible_starts_reported(self):
         rep = maximize_section_volume(7, 1.304, starts=64, seed=0)
