@@ -236,6 +236,7 @@ def cmd_maximize(args: dict) -> int:
         "starts": rep.starts,
         "converged_starts": rep.converged_starts,
         "infeasible_starts": rep.infeasible_starts,
+        "capped_starts": rep.capped_starts,
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK

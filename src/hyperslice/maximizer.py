@@ -12,7 +12,12 @@ regime only chooses its objective.  In the band t > sqrt(d-2)/2 the ball
 holds every square-face center, so no vertex of weight 2 lies below any
 cut and the volume has the O(d) star form of ``vertexsum.star_log_ratio``,
 evaluated in floats.  Below the band each row takes one exact grouped
-vertex walk.  Either way the report's volume, multiplier and residual come
+vertex walk.  Each row's line search starts from its spectral
+(Barzilai-Borwein) step, the inverse of the curvature along its last move;
+at the diagonal the Hessian is a multiple of the identity on the tangent
+space, so most starts converge within a dozen iterations.  The ascent and
+the choice of the best start run on log V, which stays finite where V
+underflows a float.  The report's volume, multiplier and residual come
 from one exact walk at the chosen direction.
 """
 
@@ -51,6 +56,7 @@ class OptimizerReport:
     starts: int
     converged_starts: int
     infeasible_starts: int
+    capped_starts: int
 
 
 def closed_form_max(d: int, t: float) -> float:
@@ -201,27 +207,38 @@ def _walk_objective(a: np.ndarray, t: float, grad: bool = False):
 
 def _ascend(a0: np.ndarray, t: float, objective):
     """Projected gradient ascent on the unit sphere from every row of a0 at
-    once; returns (rows, values, converged flags).
+    once; returns (rows, log values, converged flags, capped flags).
 
     ``objective(a, t, grad)`` gives log V for unit rows a (-inf where V
     vanishes) and, with ``grad``, its gradient.  The ascent direction is the
     tangential gradient of log V rather than of V itself: the two are
     parallel, but the log form makes the step size scale-free (V ranges
-    over many orders of magnitude across (d, t)), so a fixed initial step
-    works everywhere.  Each row keeps its own Armijo step, halved from 0.1,
-    and leaves the array once it converges: when step * ||grad|| falls
-    below tolerance, or no halving above it improves.  The volume formulas
-    are singular on the boundary faces, and boundary directions are never
-    optimal in the covered radius regimes, so a step that leaves the open
-    orthant fails and is halved.  A line search probes in array calls, the
-    k-th trying the next 2^k halvings (1, 2, 4, ...) of the rows with no
-    passing step yet; each row takes the first step that passes, as
-    backtracking would.
+    over many orders of magnitude across (d, t)), and log V stays finite
+    where V underflows a float.  Each row tries the spectral
+    (Barzilai-Borwein) step s.s / (-s.y) first, with s its last move and y
+    the change of its tangential gradient over that move: the inverse of
+    the curvature the row last saw.  At the diagonal the Riemannian Hessian
+    is a multiple of the identity on the tangent space (the symmetric group
+    acts irreducibly on sum(x) = 0), so that step soon matches it.  On the
+    first iteration, and where -s.y <= 0 or the quotient is not finite, the
+    row tries 0.1.  It halves its own trial step until the Armijo test
+    passes, and leaves the array once it converges: when 0.1 ||grad|| falls
+    below tolerance, or no halving with step * ||grad|| above it improves.
+    A row still ascending after ``MAX_ITERATIONS`` is capped.  The volume
+    formulas are singular on the boundary faces, and boundary directions
+    are never optimal in the covered radius regimes, so a step that leaves
+    the open orthant fails and is halved.  A line search probes in array
+    calls, the k-th trying the next 2^k halvings (1, 2, 4, ...) of the rows
+    with no passing step yet; each row takes the first step that passes,
+    as backtracking would.
     """
     a = a0.copy()
     log_v = objective(a, t)
     converged = np.zeros(a.shape[0], dtype=bool)
     active = np.flatnonzero(np.isfinite(log_v))
+    # last iterate and tangential gradient per row; nan until the first move
+    prev_a = np.full(a.shape, np.nan)
+    prev_g = np.full(a.shape, np.nan)
     for _ in range(MAX_ITERATIONS):
         if active.size == 0:
             break
@@ -229,14 +246,21 @@ def _ascend(a0: np.ndarray, t: float, objective):
         x = a[active]
         tangent = g - np.sum(g * x, axis=1)[:, None] * x
         gnorm = np.linalg.norm(tangent, axis=1)
+        s = x - prev_a[active]
+        curv = -np.sum(s * (tangent - prev_g[active]), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            trial = np.sum(s * s, axis=1) / curv
+        trial[~((curv > 0.0) & np.isfinite(trial))] = INITIAL_STEP
+        prev_a[active], prev_g[active] = x, tangent
         flat = INITIAL_STEP * gnorm < STEP_GRAD_TOL
         converged[active[flat]] = True
-        active, tangent, gnorm = active[~flat], tangent[~flat], gnorm[~flat]
-        # steps[r, k] = 0.1 / 2^k while it keeps step * ||grad|| >= tolerance
-        top = INITIAL_STEP * float(np.max(gnorm, initial=0.0)) / STEP_GRAD_TOL
+        active, tangent = active[~flat], tangent[~flat]
+        gnorm, trial = gnorm[~flat], trial[~flat]
+        # steps[r, k] = trial[r] / 2^k while it keeps step * ||grad|| >= tolerance
+        top = float(np.max(trial * gnorm, initial=0.0)) / STEP_GRAD_TOL
         halvings = int(math.log2(top)) + 2 if top >= 1.0 else 1
-        steps = INITIAL_STEP * 0.5 ** np.arange(halvings)
-        usable = steps[None, :] * gnorm[:, None] >= STEP_GRAD_TOL
+        steps = trial[:, None] * 0.5 ** np.arange(halvings)
+        usable = steps * gnorm[:, None] >= STEP_GRAD_TOL
         chosen = np.full(active.size, -1)
         ks = slice(0, 1)
         while ks.start < halvings:
@@ -245,14 +269,13 @@ def _ascend(a0: np.ndarray, t: float, objective):
             rows = np.flatnonzero((chosen < 0) & usable[:, ks].any(axis=1))
             if rows.size == 0:
                 break
-            step = steps[ks]
-            cand = a[active[rows], None, :] + step[None, :, None] * tangent[rows, None, :]
+            step = steps[rows, ks]
+            cand = a[active[rows], None, :] + step[:, :, None] * tangent[rows, None, :]
             ok = usable[rows, ks] & np.all(cand > 0.0, axis=2)
             cand /= np.linalg.norm(cand, axis=2)[:, :, None]
             log_c = np.full(ok.shape, -np.inf)
             log_c[ok] = objective(cand[ok], t)
-            win = ok & (
-                log_c > log_v[active[rows], None] + 1e-4 * step[None, :] * gnorm[rows, None] ** 2)
+            win = ok & (log_c > log_v[active[rows], None] + 1e-4 * step * gnorm[rows, None] ** 2)
             hit = win.any(axis=1)
             first = np.argmax(win, axis=1)
             won = rows[hit]
@@ -262,14 +285,19 @@ def _ascend(a0: np.ndarray, t: float, objective):
             ks = slice(ks.stop, 2 * ks.stop + 1)
         converged[active[chosen < 0]] = True
         active = active[chosen >= 0]
-    return a, np.exp(log_v), converged
+    capped = np.zeros(a.shape[0], dtype=bool)
+    capped[active] = True
+    return a, log_v, converged, capped
 
 
 def _draw_start(d: int, t: float, seed: int, i: int):
     """Start i >= 1: the first of 100 draws sqrt(Dirichlet(1, ..., 1)) of
     substream i with sum(a)/2 > t, or None.  The last 99 come from one
-    call, which yields the same values as 99 calls."""
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+    call, which yields the same values as 99 calls.  Substream i is
+    ``Philox(key=seed).jumped(i)``, which only adds i to the third counter
+    word; setting that counter directly gives the same stream at a third
+    of the cost."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
     cand = np.sqrt(rng.dirichlet(np.ones(d)))
     if float(np.sum(cand)) / 2.0 - t > 0.0:
         return cand
@@ -286,7 +314,8 @@ def maximize_section_volume(
 
     Start directions are the diagonal plus square roots of flat-Dirichlet
     samples with sum(a)/2 > t, up to 100 draws per start; a start with no
-    such draw is infeasible and does not run.  All starts ascend together
+    such draw is infeasible and does not run, and a start still ascending
+    after ``MAX_ITERATIONS`` is capped.  All starts ascend together
     (``_ascend``), in the band t > sqrt(d-2)/2 on the star form
     (``_star_objective``) and below it on the exact walk
     (``_walk_objective``).
@@ -304,6 +333,7 @@ def maximize_section_volume(
             best_direction=diag, best_volume=0.0, diagonal_volume=0.0,
             angle_to_diagonal=0.0, multiplier=0.0, residual_norm=0.0,
             starts=starts, converged_starts=0, infeasible_starts=0,
+            capped_starts=0,
         )
     if not t > 0.5:
         raise InvalidInputError(
@@ -314,14 +344,16 @@ def maximize_section_volume(
     drawn = [diag.copy()] + [_draw_start(d, t, seed, i) for i in range(1, starts)]
     ran = [a0 for a0 in drawn if a0 is not None]
     objective = _star_objective if t > math.sqrt(d - 2) / 2.0 else _walk_objective
-    finals, values, conv = _ascend(np.array(ran), t, objective)
+    finals, log_values, conv, capped = _ascend(np.array(ran), t, objective)
 
-    # the first start with the largest value, as in start order
-    best = int(np.argmax(values))
+    # the first start with the largest value, as in start order; log V is
+    # finite where the volume is positive but underflows a float
+    best = int(np.argmax(log_values))
     common = dict(diagonal_volume=closed, starts=starts,
                   converged_starts=int(np.count_nonzero(conv)),
-                  infeasible_starts=starts - len(ran))
-    if not values[best] > 0.0:
+                  infeasible_starts=starts - len(ran),
+                  capped_starts=int(np.count_nonzero(capped)))
+    if log_values[best] == -np.inf:
         return OptimizerReport(
             best_direction=diag, best_volume=0.0, angle_to_diagonal=0.0,
             multiplier=0.0, residual_norm=0.0, **common,

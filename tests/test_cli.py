@@ -118,6 +118,7 @@ class TestMaximizeCommand:
         payload = json.loads(out)
         assert payload["infeasible_starts"] == 35
         assert payload["converged_starts"] <= 64 - 35
+        assert payload["converged_starts"] + payload["capped_starts"] == 64 - 35
 
 
 class TestCertifyCommand:

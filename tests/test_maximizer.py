@@ -289,12 +289,12 @@ class TestBatchedStar:
         a0 = 1.0 + 0.05 * rng.standard_normal((16, d))
         a0 /= np.linalg.norm(a0, axis=1)[:, None]
         assert np.all(np.sum(a0, axis=1) / 2 > t)
-        finals, values, converged = _ascend(a0, t, _star_objective)
+        finals, log_values, converged, capped = _ascend(a0, t, _star_objective)
         diag = np.full(d, 1 / math.sqrt(d))
         closed = closed_form_max(d, t)
-        assert np.all(converged)
+        assert np.all(converged) and not np.any(capped)
         assert np.all(np.arccos(np.clip(finals @ diag, -1, 1)) < 1e-4)
-        assert np.all(np.abs(values - closed) < 1e-9 * closed)
+        assert np.all(np.abs(np.exp(log_values) - closed) < 1e-9 * closed)
 
     def test_below_band_runs_the_walk(self, monkeypatch):
         # below t = sqrt(d-2)/2 vertices of weight 2 lie below some cuts
@@ -323,6 +323,26 @@ class TestBatchedStar:
         assert rep.infeasible_starts == 35
         assert rep.converged_starts <= 29
 
+    def test_start_counts_add_up(self):
+        # the acceptance 02/03 grid: every start is infeasible, converged
+        # or capped
+        for d in (3, 4, 5, 6, 7):
+            lo, hi = math.sqrt(d - (1 if d < 5 else 2)) / 2, math.sqrt(d) / 2
+            for t in np.linspace(lo, hi, 12)[1:-1]:
+                rep = maximize_section_volume(d, float(t), starts=64, seed=0)
+                assert (rep.converged_starts + rep.capped_starts
+                        + rep.infeasible_starts == rep.starts), (d, t)
+
+    @pytest.mark.parametrize("d", [150, 200])
+    def test_underflowing_volume_keeps_the_direction(self, d):
+        # W underflows a float from about d = 145 on; log W does not
+        t = (math.sqrt(d - 2) + math.sqrt(d)) / 4
+        rep = maximize_section_volume(d, t, starts=4, seed=0)
+        assert rep.angle_to_diagonal < 1e-4
+        assert np.max(np.abs(rep.best_direction - 1 / math.sqrt(d))) < 1e-6
+        assert rep.best_volume == closed_form_max(d, t)
+        assert rep.converged_starts + rep.capped_starts + rep.infeasible_starts == 4
+
     def test_draws_match_one_draw_per_call(self):
         for d, t, seed in ((7, 1.304, 0), (5, 1.0, 3), (12, 1.66, 1)):
             for i in range(1, 40):
@@ -336,6 +356,35 @@ class TestBatchedStar:
                 got = _draw_start(d, t, seed, i)
                 assert (got is None) == (expect is None)
                 assert got is None or np.array_equal(got, expect)
+
+
+class TestSpectralStep:
+    def test_below_band_starts_all_converge(self):
+        # the parent's fixed 0.1 trial step left 31 of these 32 capped
+        t = 1 + 0.75 * (math.sqrt(5) / 2 - 1)
+        rep = maximize_section_volume(7, t, starts=32, seed=0)
+        assert rep.converged_starts == 32
+        assert rep.capped_starts == 0
+        assert rep.angle_to_diagonal < 1e-4
+
+    @pytest.mark.parametrize("d, t", [
+        (4, float(np.linspace(math.sqrt(3) / 2, 1, 12)[2])),
+        (7, float(np.linspace(math.sqrt(5) / 2, math.sqrt(7) / 2, 12)[3])),
+    ])
+    def test_few_gradient_calls(self, monkeypatch, d, t):
+        # the fixed 0.1 trial step took 234 (d = 4) and 398 (d = 7)
+        grads = []
+        real = maximizer._star_objective
+
+        def counted(a, t, grad=False):
+            grads.append(grad)
+            return real(a, t, grad)
+
+        monkeypatch.setattr(maximizer, "_star_objective", counted)
+        rep = maximize_section_volume(d, t, starts=64, seed=0)
+        assert sum(grads) <= 30
+        assert rep.angle_to_diagonal < 1e-4
+        assert rep.converged_starts + rep.infeasible_starts == 64
 
 
 class TestDecayInequality:
