@@ -52,7 +52,6 @@ class CertificateReport:
     max_slope_at_one: float
     max_value_at_one: float
     roots_excluded: bool
-    certified: bool | None = None
 
 
 def _binomial_poly(k: int) -> list[int]:
@@ -161,13 +160,15 @@ def _claim_values(d: int, y_grid: np.ndarray):
 
 def default_y_grid(n: int = 10_000) -> np.ndarray:
     """Uniform grid on (1e-6, 1-1e-6) plus log-spaced points near each endpoint."""
+    if n < 0:
+        raise InvalidInputError("grid size must be nonnegative")
     uniform = np.linspace(1e-6, 1.0 - 1e-6, n)
     near0 = np.logspace(-7, -3, 100)
     near1 = 1.0 - np.logspace(-7, -3, 100)
     return np.unique(np.concatenate([uniform, near0, near1]))
 
 
-def sign_certificates(d: int, y_grid, certified: bool | None = None) -> CertificateReport:
+def sign_certificates(d: int, y_grid) -> CertificateReport:
     """Most-positive observed values of the three sign conditions over a grid.
 
     All three maxima negative rules out roots of the quadratic in [1, inf):
@@ -187,7 +188,6 @@ def sign_certificates(d: int, y_grid, certified: bool | None = None) -> Certific
         max_slope_at_one=maxima["slope_at_one"],
         max_value_at_one=maxima["value_at_one"],
         roots_excluded=all(m < 0.0 for m in maxima.values()),
-        certified=certified,
     )
 
 

@@ -5,8 +5,10 @@ and ``certify``; CSV for ``scan``.  Exit codes: 0 success, 2 invalid input,
 3 convergence or capacity failure, 4 a certified sign claim failed.
 
 Every flag can also be supplied through ``--config FILE`` as ``key=value``
-lines (keys use underscores, e.g. ``t_range=0.9:1.1:50``); explicit flags
-win over the file.
+lines (keys use underscores, e.g. ``t_range=0.9:1.1:50``).  Each line is
+read as ``--key=value``, a bare flag for ``key=true`` and nothing for
+``key=false``, ahead of the explicit flags: these win, and file values pass
+the same checks as flags.  Every malformed value exits 2.
 """
 
 from __future__ import annotations
@@ -40,179 +42,156 @@ EXIT_INVALID = 2
 EXIT_CONVERGENCE = 3
 EXIT_CLAIM_FAILED = 4
 
-_DEFAULTS = {
-    "volume": {
-        "d": None, "a": None, "diagonal": False, "t": None,
-        "method": "sum", "seed": 0, "tol": 1e-9, "mc_n": 1_000_000,
-    },
-    "maximize": {"d": None, "t": None, "starts": 64, "seed": 0},
-    "certify": {"d_range": None, "grid": 10_000, "rigorous": False},
-    "scan": {
-        "d": None, "t_range": None, "mode": "diagonal", "a": None,
-        "starts": 64, "seed": 0,
-    },
-}
+
+class _Parser(argparse.ArgumentParser):
+    """Raises InvalidInputError where argparse would print usage and exit,
+    and takes no option prefix as the option (``--me`` is not ``--method``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
+def coordinates(text: str) -> list[float]:
+    """``--a``: comma-separated coordinates; empty entries are skipped."""
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
+def dim_range(text: str) -> tuple[int, int]:
+    """``--d-range lo:hi``, inclusive, with 2 <= lo <= hi."""
+    lo, hi = map(int, text.split(":"))
+    if not 2 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"expected 2 <= lo <= hi, got {text!r}")
+    return lo, hi
+
+
+def radius_grid(text: str) -> np.ndarray:
+    """``--t-range lo:hi:n``, n evenly spaced radii from lo to hi."""
+    lo, hi, n = text.split(":")
+    if int(n) < 1 or float(hi) < float(lo):
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}")
+    return np.linspace(float(lo), float(hi), int(n))
+
+
+_CONFIG = _Parser(add_help=False)
+_CONFIG.add_argument("--config", metavar="FILE",
+                     help="key=value lines read as flags before the explicit ones")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperslice",
         description="Volumes, maximizers and certificates for hyperplane "
         "sections of the unit cube tangent to a central ball.",
+        parents=[_CONFIG],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sup = argparse.SUPPRESS
 
     p = sub.add_parser("volume", help="section volume of one spec")
-    p.add_argument("--d", type=int, default=sup, help="dimension")
-    p.add_argument("--a", type=str, default=sup, help="comma-separated direction")
-    p.add_argument("--diagonal", action="store_true", default=sup,
+    p.add_argument("--d", type=int, required=True, help="dimension")
+    p.add_argument("--a", type=coordinates, help="comma-separated direction")
+    p.add_argument("--diagonal", action="store_true",
                    help="use the main diagonal direction")
-    p.add_argument("--t", type=float, default=sup, help="tangency radius")
-    p.add_argument("--method", choices=["sum", "integral", "mc", "all"], default=sup)
-    p.add_argument("--seed", type=int, default=sup, help="Monte Carlo seed")
-    p.add_argument("--tol", type=float, default=sup, help="integral tolerance")
-    p.add_argument("--mc-n", dest="mc_n", type=int, default=sup,
+    p.add_argument("--t", type=float, required=True, help="tangency radius")
+    p.add_argument("--method", choices=["sum", "integral", "mc", "all"], default="sum")
+    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    p.add_argument("--tol", type=float, default=1e-9, help="integral tolerance")
+    p.add_argument("--mc-n", dest="mc_n", type=int, default=1_000_000,
                    help="Monte Carlo sample count, at least 2")
-    p.add_argument("--config", type=str, default=sup)
 
     p = sub.add_parser("maximize", help="maximize volume over directions")
-    p.add_argument("--d", type=int, default=sup)
-    p.add_argument("--t", type=float, default=sup)
-    p.add_argument("--starts", type=int, default=sup)
-    p.add_argument("--seed", type=int, default=sup)
-    p.add_argument("--config", type=str, default=sup)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--starts", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("certify", help="sign certificates over a dimension range")
-    p.add_argument("--d-range", dest="d_range", type=str, default=sup,
+    p.add_argument("--d-range", dest="d_range", type=dim_range, required=True,
                    help="inclusive range lo:hi")
-    p.add_argument("--grid", type=int, default=sup, help="uniform y-grid size")
-    p.add_argument("--rigorous", action="store_true", default=sup,
+    p.add_argument("--grid", type=int, default=10_000, help="uniform y-grid size")
+    p.add_argument("--rigorous", action="store_true",
                    help="also certify exactly from the Bernstein form")
-    p.add_argument("--config", type=str, default=sup)
 
     p = sub.add_parser("scan", help="CSV sweep over a radius grid")
-    p.add_argument("--d", type=int, default=sup)
-    p.add_argument("--t-range", dest="t_range", type=str, default=sup,
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--t-range", dest="t_range", type=radius_grid, required=True,
                    help="grid lo:hi:n")
-    p.add_argument("--mode", choices=["diagonal", "maximize", "classify"], default=sup)
-    p.add_argument("--a", type=str, default=sup,
+    p.add_argument("--mode", choices=["diagonal", "maximize", "classify"],
+                   default="diagonal")
+    p.add_argument("--a", type=coordinates,
                    help="direction for classify mode (default: diagonal)")
-    p.add_argument("--starts", type=int, default=sup)
-    p.add_argument("--seed", type=int, default=sup)
-    p.add_argument("--config", type=str, default=sup)
+    p.add_argument("--starts", type=int, default=64)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _coerce(raw: str, template):
-    if isinstance(template, bool):
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise InvalidInputError(f"expected a boolean, got {raw!r}")
-    if isinstance(template, int) and not isinstance(template, bool):
-        return int(raw)
-    if isinstance(template, float):
-        return float(raw)
-    return raw
-
-
-def _load_config(path: str, defaults: dict) -> dict:
-    out = {}
+def _config_argv(path: str) -> tuple[list[str], list[str]]:
+    """The ``key=value`` lines of a config file as flags, and the keys set
+    false: ``--key=value``, a bare ``--key`` for true, nothing for false."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                if "=" not in body:
-                    raise InvalidInputError(
-                        f"{path}:{line_no}: expected key=value, got {body!r}"
-                    )
-                key, _, raw = body.partition("=")
-                key = key.strip().replace("-", "_")
-                if key not in defaults:
-                    raise InvalidInputError(f"{path}:{line_no}: unknown key {key!r}")
-                template = defaults[key]
-                # None templates are required/str-typed; numeric ones are
-                # coerced after merging
-                out[key] = raw.strip() if template is None else _coerce(raw.strip(), template)
-    except OSError as exc:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read config file {path}: {exc}") from exc
-    return out
+    flags, off = [], []
+    for line_no, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        key, eq, value = body.partition("=")
+        if not eq:
+            raise InvalidInputError(f"{path}:{line_no}: expected key=value, got {body!r}")
+        key, value = key.strip().replace("_", "-"), value.strip()
+        if value.lower() == "false":
+            off.append(key)
+        else:
+            flags.append(f"--{key}" if value.lower() == "true" else f"--{key}={value}")
+    return flags, off
 
 
-def _merge(ns: argparse.Namespace) -> dict:
-    command = ns.command
-    passed = {k: v for k, v in vars(ns).items() if k != "command"}
-    merged = dict(_DEFAULTS[command])
-    config_path = passed.pop("config", None)
-    if config_path is not None:
-        merged.update(_load_config(config_path, merged))
-    # special-case typed templates that default to None
-    for key in ("d", "starts", "seed", "grid", "mc_n"):
-        if key in merged and isinstance(merged[key], str):
-            merged[key] = int(merged[key])
-    for key in ("t", "tol"):
-        if key in merged and isinstance(merged[key], str):
-            merged[key] = float(merged[key])
-    merged.update(passed)
-    merged["command"] = command
-    return merged
+def _direction(args: argparse.Namespace) -> list[float]:
+    if len(args.a) != args.d:
+        raise InvalidInputError(f"--a has {len(args.a)} coordinates, expected d={args.d}")
+    return args.a
 
 
-def _require(args: dict, *keys):
-    for key in keys:
-        if args.get(key) is None:
-            raise InvalidInputError(f"missing required option --{key.replace('_', '-')}")
-
-
-def _spec_from_args(args: dict):
-    _require(args, "d", "t")
-    d, t = args["d"], args["t"]
-    if args.get("diagonal"):
-        return diagonal_section_spec(d, t)
-    if args.get("a") is None:
+def _spec_from_args(args: argparse.Namespace):
+    if args.diagonal:
+        return diagonal_section_spec(args.d, args.t)
+    if args.a is None:
         raise InvalidInputError("pass either --a or --diagonal")
-    coords = [float(x) for x in str(args["a"]).split(",") if x.strip() != ""]
-    if len(coords) != d:
-        raise InvalidInputError(f"--a has {len(coords)} coordinates, expected d={d}")
-    return make_section_spec(coords, t)
-
-
-def _fmt(x: float) -> float:
-    return float(x)
+    return make_section_spec(_direction(args), args.t)
 
 
 def _cut_payload(cut) -> dict:
     return {"count": cut.count_below, "kind": cut.kind.value}
 
 
-def cmd_volume(args: dict) -> int:
+def cmd_volume(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    method = args["method"]
+    method = args.method
     results = []
     if method in ("sum", "all"):
         r = section_volume_vertex_sum(spec)
-        results.append({"method": "vertex_sum", "value": _fmt(r.value),
-                        "err": _fmt(r.err), "cut": _cut_payload(r.cut)})
+        results.append({"method": "vertex_sum", "value": float(r.value),
+                        "err": float(r.err), "cut": _cut_payload(r.cut)})
     if method in ("integral", "all"):
-        cfg = make_quadrature_config(spec, abs_tol=args["tol"])
+        cfg = make_quadrature_config(spec, abs_tol=args.tol)
         r = section_volume_integral(spec, cfg)
-        results.append({"method": "integral", "value": _fmt(r.value),
-                        "err": _fmt(r.err), "cut": _cut_payload(r.cut)})
+        results.append({"method": "integral", "value": float(r.value),
+                        "err": float(r.err), "cut": _cut_payload(r.cut)})
     if method in ("mc", "all"):
-        est, stderr = mc_section_volume(spec, n=args["mc_n"], seed=args["seed"])
-        results.append({"method": "monte_carlo", "value": _fmt(est),
-                        "err": _fmt(stderr), "cut": _cut_payload(classify_cut(spec))})
+        est, stderr = mc_section_volume(spec, n=args.mc_n, seed=args.seed)
+        results.append({"method": "monte_carlo", "value": float(est),
+                        "err": float(stderr), "cut": _cut_payload(classify_cut(spec))})
     payload = {
         "spec": {
             "d": spec.dim,
             "a": [float(x) for x in spec.direction],
-            "t": _fmt(spec.radius),
-            "b": _fmt(spec.offset),
+            "t": float(spec.radius),
+            "b": float(spec.offset),
         },
         "results": results,
     }
@@ -220,19 +199,18 @@ def cmd_volume(args: dict) -> int:
     return EXIT_OK
 
 
-def cmd_maximize(args: dict) -> int:
-    _require(args, "d", "t")
-    rep = maximize_section_volume(args["d"], args["t"],
-                                  starts=args["starts"], seed=args["seed"])
+def cmd_maximize(args: argparse.Namespace) -> int:
+    rep = maximize_section_volume(args.d, args.t,
+                                  starts=args.starts, seed=args.seed)
     payload = {
-        "d": args["d"],
-        "t": _fmt(args["t"]),
+        "d": args.d,
+        "t": float(args.t),
         "best_direction": [float(x) for x in rep.best_direction],
-        "best_volume": _fmt(rep.best_volume),
-        "diagonal_volume": _fmt(rep.diagonal_volume),
-        "angle_to_diagonal": _fmt(rep.angle_to_diagonal),
-        "multiplier": _fmt(rep.multiplier),
-        "residual_norm": _fmt(rep.residual_norm),
+        "best_volume": float(rep.best_volume),
+        "diagonal_volume": float(rep.diagonal_volume),
+        "angle_to_diagonal": float(rep.angle_to_diagonal),
+        "multiplier": float(rep.multiplier),
+        "residual_norm": float(rep.residual_norm),
         "starts": rep.starts,
         "converged_starts": rep.converged_starts,
         "infeasible_starts": rep.infeasible_starts,
@@ -242,22 +220,9 @@ def cmd_maximize(args: dict) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise InvalidInputError(f"expected lo:hi, got {text!r}")
-    lo, hi = int(parts[0]), int(parts[1])
-    if lo > hi:
-        raise InvalidInputError(f"empty range {text!r}")
-    return lo, hi
-
-
-def cmd_certify(args: dict) -> int:
-    _require(args, "d_range")
-    lo, hi = _parse_range(args["d_range"])
-    if lo < 2:
-        raise InvalidInputError("dimensions below 2 are meaningless here")
-    grid = default_y_grid(args["grid"])
+def cmd_certify(args: argparse.Namespace) -> int:
+    lo, hi = args.d_range
+    grid = default_y_grid(args.grid)
     claim_failed = False
     blocks = []
     for d in range(lo, hi + 1):
@@ -273,7 +238,7 @@ def cmd_certify(args: dict) -> int:
             ok = maxima[name] < 0.0
             if asserted and not ok:
                 claim_failed = True
-            claims[name] = {"asserted": asserted, "max": _fmt(maxima[name]), "ok": ok}
+            claims[name] = {"asserted": asserted, "max": float(maxima[name]), "ok": ok}
         block = {
             "d": d,
             "grid_size": rep.grid_size,
@@ -283,9 +248,9 @@ def cmd_certify(args: dict) -> int:
         if not rep.roots_excluded:
             roots = quad_roots(quad_coeffs(d, 0.5))
             block["roots_at_y_half_in_unit_ray"] = [
-                _fmt(r) for r in roots if r >= 1.0
+                float(r) for r in roots if r >= 1.0
             ]
-        if args["rigorous"]:
+        if args.rigorous:
             certified = certify_signs_rigorous(d)
             if any(claims[name]["asserted"] and not ok for name, ok in certified.items()):
                 claim_failed = True
@@ -302,34 +267,20 @@ def cmd_certify(args: dict) -> int:
             holds_all &= holds
             min_gap = min(min_gap, lhs - rhs)
         decay.append({"d": d, "points": 100, "holds_all": bool(holds_all),
-                      "min_gap": _fmt(min_gap)})
+                      "min_gap": float(min_gap)})
     print(json.dumps({"certificates": blocks, "decay": decay}, indent=2))
     return EXIT_CLAIM_FAILED if claim_failed else EXIT_OK
 
 
-def _parse_grid(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise InvalidInputError(f"expected lo:hi:n, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1 or hi < lo:
-        raise InvalidInputError(f"bad grid {text!r}")
-    return np.linspace(lo, hi, n)
-
-
-def cmd_scan(args: dict) -> int:
-    _require(args, "d", "t_range")
-    d = args["d"]
-    ts = _parse_grid(args["t_range"])
-    mode = args["mode"]
-    diag = np.full(d, 1.0 / math.sqrt(d))
+def cmd_scan(args: argparse.Namespace) -> int:
+    d = args.d
+    ts = args.t_range
+    mode = args.mode
     if mode == "maximize" and ts[0] <= 0.5:
         raise InvalidInputError("maximize mode needs t > 0.5 everywhere in the grid")
     direction = None
-    if mode == "classify" and args.get("a") is not None:
-        direction = [float(x) for x in str(args["a"]).split(",")]
-        if len(direction) != d:
-            raise InvalidInputError("--a dimension mismatch")
+    if mode == "classify" and args.a is not None:
+        direction = _direction(args)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["d", "t", "V_closed", "V_best", "angle", "count_below", "kind"])
@@ -340,7 +291,7 @@ def cmd_scan(args: dict) -> int:
     for t in map(float, ts):
         closed = closed_form_max(d, t)
         if mode == "maximize":
-            rep = maximize_section_volume(d, t, starts=args["starts"], seed=args["seed"])
+            rep = maximize_section_volume(d, t, starts=args.starts, seed=args.seed)
             cut = classify_cut(make_section_spec(rep.best_direction, t))
             row = [closed, rep.best_volume, rep.angle_to_diagonal]
         else:
@@ -349,6 +300,7 @@ def cmd_scan(args: dict) -> int:
                 angle = 0.0
             else:
                 spec = make_section_spec(direction, t)
+                diag = np.full(d, 1.0 / math.sqrt(d))
                 angle = math.acos(float(np.clip(spec.direction @ diag, -1.0, 1.0)))
             cut = classify_cut(spec)
             row = [closed, section_volume_vertex_sum(spec).value, angle]
@@ -367,11 +319,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        args = _merge(ns)
-        return _COMMANDS[args["command"]](args)
+        config, argv = _CONFIG.parse_known_args(argv)
+        off = []
+        if config.config is not None:
+            flags, off = _config_argv(config.config)
+            argv[1:1] = flags  # after the subcommand, before the explicit flags
+        args = build_parser().parse_args(argv)
+        for key in off:
+            if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
+                raise InvalidInputError(f"{config.config}: {key} is not a flag of {args.command}")
+        return _COMMANDS[args.command](args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NonintegrableTailError
+from .errors import ConvergenceError, InvalidInputError, NonintegrableTailError
 from .geometry import SectionSpec, VolumeResult, ZERO_COORD_TOL, classify_cut
 
 _EPS = float(np.finfo(float).eps)
@@ -86,7 +86,7 @@ def make_quadrature_config(
     coordinate keeps one tiny coordinate from forcing the closed-form tail.
     """
     if not abs_tol > 0.0:
-        raise ValueError("abs_tol must be positive")
+        raise InvalidInputError("abs_tol must be positive")
     a_pos = np.sort(spec.direction[spec.direction > ZERO_COORD_TOL])
     n_pos = a_pos.size
     if n_pos < 2:

@@ -130,14 +130,13 @@ def lagrangian_gradient(spec: SectionSpec, lam: float):
 
     Exact for every cut kind (``_ratio_gradient``); on a cell boundary,
     where a vertex lies on the hyperplane, it is the one-sided gradient
-    that counts that vertex below.  Returns (gradient, analytic_flag), the
-    flag always True.
+    that counts that vertex below.
     """
     a = spec.direction
     if np.any(a <= 0.0):
         raise RegimeError("all coordinates must be positive for the gradient")
     _, grad = _ratio_gradient(a, spec.offset)
-    return grad + 2.0 * lam * a, True
+    return grad + 2.0 * lam * a
 
 
 def pair_condition_check(spec: SectionSpec) -> np.ndarray:
@@ -326,6 +325,8 @@ def maximize_section_volume(
         raise InvalidInputError("d must be at least 2")
     if starts < 1:
         raise InvalidInputError("need at least one start")
+    if not 0 <= seed < 2**128:
+        raise InvalidInputError("seed must lie in [0, 2^128), the Philox key range")
     diag = np.full(d, 1.0 / math.sqrt(d))
     closed = closed_form_max(d, t)
     if t >= math.sqrt(d) / 2.0:

@@ -71,6 +71,13 @@ def _scaled(hits: int, n: int, scale: float):
     return hits / n * scale, scale * math.sqrt(q * (1.0 - q) / n)
 
 
+def _check_sampling(n: int, seed: int):
+    if n < 2:
+        raise InvalidInputError("n must be at least 2")
+    if seed < 0:
+        raise InvalidInputError("seed must be nonnegative")
+
+
 def mc_halfspace_volume(spec: SectionSpec, n: int, seed: int = 0):
     """Estimate of the d-volume of {x in [0,1]^d : a.x <= b} from n uniform
     points of the box that holds it, n >= 2.
@@ -81,8 +88,7 @@ def mc_halfspace_volume(spec: SectionSpec, n: int, seed: int = 0):
     when the far corner of the box satisfies a.x <= b, so that every box
     point does.
     """
-    if n < 2:
-        raise InvalidInputError("n must be at least 2")
+    _check_sampling(n, seed)
     b = spec.offset
     if b < 0.0:
         return 0.0, 0.0
@@ -107,8 +113,7 @@ def mc_section_volume(spec: SectionSpec, n: int, seed: int = 0):
     where the box is empty (scale 0) when every a_i > 0 and is the face of
     the zero coordinates otherwise.
     """
-    if n < 2:
-        raise InvalidInputError("n must be at least 2")
+    _check_sampling(n, seed)
     b = spec.offset
     if b < 0.0:
         return 0.0, 0.0

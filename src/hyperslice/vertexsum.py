@@ -90,12 +90,6 @@ def halfspace_volume(spec: SectionSpec) -> VolumeResult:
     )
 
 
-def _halfspace_value(a, b):
-    """Half-space volume and err from raw (a, b); b may exceed sum(a)/2."""
-    _, value = _vertex_sum(a, b, 1)
-    return value, math.ulp(value)
-
-
 def star_log_ratio(a, b, grad: bool = False):
     """log W for each row of a (rows, n) and its offset in b, and with
     ``grad`` also the gradient of log W, on the star form

@@ -274,3 +274,66 @@ class TestConfigFile:
         cfg.write_text("bogus=1\n")
         code, _, _ = run_cli(capsys, "volume", "--config", str(cfg))
         assert code == 2
+
+    def test_false_leaves_a_flag_out(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d=3\nt=0.3\ndiagonal=false\na=0.2,0.5,0.9\n")
+        code, out, _ = run_cli(capsys, "volume", "--config", str(cfg))
+        assert code == 0
+        a = json.loads(out)["spec"]["a"]
+        assert a[0] < a[1] < a[2]  # the direction of --a, not the diagonal
+
+
+class TestMalformedValues:
+    """Every malformed value, from a flag or a config line, exits 2 with an
+    error line and prints nothing on stdout."""
+
+    @pytest.mark.parametrize("command, text", [
+        ("volume", "d=abc\nt=1.0\ndiagonal=true\n"),
+        ("volume", "d=5\nt=1.0\ndiagonal=true\nmethod=mc\nmc_n=1e6\n"),
+        ("volume", "d=5\nt=1.0\ndiagonal=true\nmethod=bogus\n"),
+        ("scan", "d=5\nt_range=0.87:1.11:5\nmode=bogus\n"),
+        ("volume", "d=5\nt=1.0\ndiagonal=true\nme=all\n"),  # no prefix matching
+        ("volume", "d=5\nt=1.0\ndiagonal=1\n"),
+        ("maximize", "d=5\nt=1.0\nstarts=false\n"),
+        ("volume", "d=5\nt=1.0\ndiagonal=true\nconfig=other.cfg\n"),
+        ("volume", "d=5\nt=1.0\njust text\n"),
+    ], ids=["d_abc", "mc_n_float", "method_bogus", "mode_bogus", "prefix_key",
+            "flag_with_value", "false_on_value_option", "nested_config", "no_equals"])
+    def test_config_line(self, capsys, tmp_path, command, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == "" and "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("volume", "--d", "3", "--a", "0.2,x,0.5", "--t", "0.1"),
+        ("certify", "--d-range", "6:x"),
+        ("scan", "--d", "3", "--t-range", "0:1:x"),
+        ("certify", "--d-range", "1:4"),
+        ("certify", "--d-range", "6:7", "--grid", "-3"),
+        ("scan", "--d", "0", "--t-range", "0.1:0.5:3"),
+        ("volume", "--d", "3", "--diagonal", "--t", "0.1", "--method", "integral",
+         "--tol", "0"),
+        ("volume", "--d", "3", "--diagonal", "--t", "0.1", "--method", "mc",
+         "--seed", "-5"),
+        ("maximize", "--d", "5", "--t", "1.0", "--seed", "-1"),
+        ("volume", "--config", "no/such/file.cfg"),
+    ], ids=["a_not_a_number", "d_range_not_int", "t_range_n_not_int", "d_range_below_2",
+            "negative_grid", "scan_d0", "zero_tol", "negative_mc_seed",
+            "negative_maximize_seed", "missing_config"])
+    def test_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "error" in err
+
+    def test_trailing_comma_in_a(self, capsys):
+        # one --a parser: scan takes the trailing comma as volume does
+        code, out, _ = run_cli(capsys, "volume", "--d", "3", "--a", "0.2,0.5,0.7,",
+                               "--t", "0.3")
+        assert code == 0
+        value = json.loads(out)["results"][0]["value"]
+        code, out, _ = run_cli(capsys, "scan", "--d", "3", "--mode", "classify",
+                               "--a", "0.2,0.5,0.7,", "--t-range", "0.3:0.3:1")
+        assert code == 0
+        row = out.strip().split("\n")[1].split(",")
+        assert float(row[3]) == pytest.approx(value, rel=1e-11)

@@ -90,8 +90,7 @@ class TestLagrangianGradient:
             for _ in range(5):
                 spec = corner_spec(rng, d)
                 lam = float(rng.uniform(-1, 1))
-                grad, analytic = lagrangian_gradient(spec, lam)
-                assert analytic
+                grad = lagrangian_gradient(spec, lam)
                 fd = lagrangian_fd(spec, lam)
                 assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
 
@@ -101,8 +100,7 @@ class TestLagrangianGradient:
             for _ in range(5):
                 spec = edge_spec(rng, d)
                 lam = float(rng.uniform(-1, 1))
-                grad, analytic = lagrangian_gradient(spec, lam)
-                assert analytic
+                grad = lagrangian_gradient(spec, lam)
                 fd = lagrangian_fd(spec, lam)
                 assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
 
@@ -110,7 +108,7 @@ class TestLagrangianGradient:
         # symmetry pins the multiplier; the remaining gradient is numerically 0
         for d, t in ((3, 0.8), (5, 1.0), (7, 1.25)):
             spec = diagonal_section_spec(d, t)
-            grad, _ = lagrangian_gradient(spec, 0.0)
+            grad = lagrangian_gradient(spec, 0.0)
             lam = -float(grad @ spec.direction) / 2.0
             residual = np.linalg.norm(grad + 2 * lam * spec.direction)
             assert residual <= 1e-10
@@ -118,11 +116,10 @@ class TestLagrangianGradient:
     def test_deep_cut_needs_fallback(self):
         # no fallback: the exact gradient serves deep cuts and ties too
         spec = diagonal_section_spec(4, 0.45)  # five vertices below
-        grad, analytic = lagrangian_gradient(spec, 0.1)
-        assert analytic
+        grad = lagrangian_gradient(spec, 0.1)
         assert np.linalg.norm(grad - lagrangian_fd(spec, 0.1)) <= 1e-6 * np.linalg.norm(grad)
         # e_1 and e_2 on the hyperplane: three vertices below, one a tie
-        grad, _ = lagrangian_gradient(make_section_spec([1, 1], 0.0), 0.1)
+        grad = lagrangian_gradient(make_section_spec([1, 1], 0.0), 0.1)
         assert grad.shape == (2,) and np.all(np.isfinite(grad))
 
     def test_random_deep_cuts_match_fd(self):
@@ -134,7 +131,7 @@ class TestLagrangianGradient:
                 if classify_cut(spec).count_below <= 2:
                     continue
                 lam = float(rng.uniform(-1, 1))
-                grad, _ = lagrangian_gradient(spec, lam)
+                grad = lagrangian_gradient(spec, lam)
                 fd = lagrangian_fd(spec, lam)
                 assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad), (d, spec)
                 done += 1
@@ -149,8 +146,8 @@ class TestLagrangianGradient:
         a /= np.linalg.norm(a)
         half = float(np.sum(a)) / 2
         eps = 1e-7
-        edge = lagrangian_gradient(make_section_spec(a, half - (a.min() + eps)), 0.2)[0]
-        corner = lagrangian_gradient(make_section_spec(a, half - (a.min() - eps)), 0.2)[0]
+        edge = lagrangian_gradient(make_section_spec(a, half - (a.min() + eps)), 0.2)
+        corner = lagrangian_gradient(make_section_spec(a, half - (a.min() - eps)), 0.2)
         assert np.linalg.norm(edge - corner) <= 1e-5 * np.linalg.norm(corner)
 
 

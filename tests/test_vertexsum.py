@@ -19,7 +19,7 @@ from hyperslice.geometry import (
 )
 from hyperslice.maximizer import closed_form_max
 from hyperslice.vertexsum import (
-    _halfspace_value,
+    _vertex_sum,
     halfspace_volume,
     section_from_halfspace_derivative,
     section_volume_vertex_sum,
@@ -210,7 +210,7 @@ class TestHalfspaceVolume:
 
     def test_whole_cube_below(self):
         a = np.array([0.3, 0.5, 0.8])
-        value, _ = _halfspace_value(a, float(np.sum(a)) + 0.1)
+        value = _vertex_sum(a, float(np.sum(a)) + 0.1, 1)[1]
         assert value == 1.0
 
     def test_complement_identity(self):
@@ -219,14 +219,14 @@ class TestHalfspaceVolume:
             d = int(rng.integers(2, 7))
             a = random_unit_direction(rng, d)
             b = float(rng.uniform(0.02, 0.98)) * float(np.sum(a))
-            lo, _ = _halfspace_value(a, b)
-            hi, _ = _halfspace_value(a, float(np.sum(a)) - b)
+            lo = _vertex_sum(a, b, 1)[1]
+            hi = _vertex_sum(a, float(np.sum(a)) - b, 1)[1]
             assert lo + hi == pytest.approx(1.0, abs=1e-10)
 
     def test_monotone_in_offset(self):
         a = random_unit_direction(rng_for(33), 4)
         bs = np.linspace(-0.1, float(np.sum(a)) + 0.1, 40)
-        vals = [_halfspace_value(a, float(b))[0] for b in bs]
+        vals = [_vertex_sum(a, float(b), 1)[1] for b in bs]
         assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
         assert vals[0] == 0.0 and vals[-1] == 1.0
 
