@@ -2,19 +2,16 @@
 
 The stationarity conditions of an edge cut reduce to a quadratic
 c2*x^2 + c1*x + c0 = 0 in x = a_j/b, whose coefficients depend on d and on
-y = 1 - a_low/b in (0,1):
+y = 1 - a_low/b in (0,1).  Ruling out roots in [1, inf) needs three sign
+conditions on (0,1): the leading coefficient c2, the slope 2*c2 + c1 of the
+quadratic at x = 1, and its value c2 + c1 + c0 at x = 1 must all be negative.
 
-    c2 = 2 - 2 y^(d-1) - (d-1)(1-y)(1 + y^(d-2))
-    c1 = (d-1)(1-y)^2 (1 - y^(d-2))
-    c0 = -2 (1-y)^2 (1 - y^(d-1))
-
-Ruling out roots in [1, inf) needs three sign conditions on (0,1): the
-leading coefficient c2, the slope 2*c2 + c1 of the quadratic at x = 1, and
-its value c2 + c1 + c0 at x = 1 must all be negative.  This module evaluates
-those quantities accurately over dense grids (all three vanish to high order
-as y -> 1, so they are also expanded exactly in powers of s = 1 - y), and can
-certify their signs rigorously from the exact Bernstein form of those
-integer expansions on [0, 1].
+`_forms` writes c2, c1 and c0 once, in integers, as A + y^(d-2) B with A and
+B forms of degree at most 3 in y and s = 1 - y; each sign condition is an
+integer weight row over them.  Floats come from these forms where s >= 2/d.
+Nearer y = 1, where A and y^(d-2) B cancel, they come from the exact integer
+expansion in powers of s, whose Bernstein form on [0, 1] also certifies the
+signs rigorously.
 """
 
 from __future__ import annotations
@@ -31,8 +28,11 @@ from .errors import InvalidInputError
 CLAIM_THRESHOLDS = {"lead_coeff": 4, "slope_at_one": 6, "value_at_one": 6}
 
 #: Sub-boxes of [0, 1] the Bernstein test may examine per claim before it
-#: gives up.  Every claim of d = 6..200 certifies in one box.
+#: gives up.  Every claim of d = 6..320 certifies in one box.
 MAX_BOXES = 1024
+
+#: The three sign conditions as integer weight rows over (c2, c1, c0).
+_CLAIMS = {"lead_coeff": (1, 0, 0), "slope_at_one": (2, 1, 0), "value_at_one": (1, 1, 1)}
 
 
 @dataclass(frozen=True)
@@ -54,108 +54,101 @@ class CertificateReport:
     roots_excluded: bool
 
 
-def _binomial_poly(k: int) -> list[int]:
-    """Integer coefficients of (1-s)^k in s."""
-    return [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-
-
-def _poly_scale(p, c):
-    return [c * x for x in p]
-
-
-def _poly_shift(p, k):
-    """Multiply by s^k."""
-    return [0] * k + list(p)
+def _cubic(form):
+    """A form in (y, s) of degree n, given by its coefficients of y^k s^(n-k),
+    as a cubic: multiplied by (y + s)^(3-n) = 1."""
+    while len(form) < 4:
+        form = [p + q for p, q in zip([0, *form], [*form, 0])]
+    return form
 
 
 @lru_cache(maxsize=None)
-def _shifted_polys(d: int):
-    """Exact integer expansions of c2, c1, c0 in powers of s = 1 - y."""
-    bd1 = _binomial_poly(d - 1)  # (1-s)^(d-1) = y^(d-1)
-    bd2 = _binomial_poly(d - 2)
-    one = [1]
-    # c2 = 2 - 2 y^(d-1) - (d-1) s (1 + y^(d-2))
-    c2 = _poly_add(_poly_add([2], _poly_scale(bd1, -2)),
-                   _poly_shift(_poly_scale(_poly_add(one, bd2), -(d - 1)), 1))
-    # c1 = (d-1) s^2 (1 - y^(d-2))
-    c1 = _poly_shift(_poly_scale(_poly_add(one, _poly_scale(bd2, -1)), d - 1), 2)
-    # c0 = -2 s^2 (1 - y^(d-1))
-    c0 = _poly_shift(_poly_scale(_poly_add(one, _poly_scale(bd1, -1)), -2), 2)
-    return tuple(map(tuple, (c2, c1, c0)))
+def _forms(d: int, rows):
+    """(A, B, n) for each weight row w over (c2, c1, c0): the cubic integer
+    forms with sum_i w_i c_i = A + y^(d-2) B, as coefficients of y^k s^(3-k),
+    k = 0..3, and the degree n of the highest form B that the row sums.
+
+    A quantity that vanishes at y = 0 has a zero coefficient of s^3 here, so
+    its forms do not cancel there.
+    """
+    m = d - 1
+    quad = (((3 - d, 2), (-m, -2)),       # c2 = 2y - (d-3)s + y^(d-2) (-2y - (d-1)s)
+            ((m, 0, 0), (-m, 0, 0)),      # c1 = (d-1)s^2 (1 - y^(d-2))
+            ((-2, 0, 0), (0, 2, 0, 0)))   # c0 = -2s^2 (1 - y^(d-1))
+    out = []
+    for row in rows:
+        a, b = (tuple(sum(w * _cubic(q[j])[k] for w, q in zip(row, quad)) for k in range(4))
+                for j in (0, 1))
+        out.append((a, b, max(len(q[1]) - 1 for w, q in zip(row, quad) if w)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _claim_polys(d: int):
-    """Exact integer s-expansions of the three certified quantities."""
-    c2, c1, c0 = map(list, _shifted_polys(d))
-    return {
-        "lead_coeff": tuple(c2),
-        "slope_at_one": tuple(_poly_add(_poly_scale(c2, 2), c1)),
-        "value_at_one": tuple(_poly_add(_poly_add(c2, c1), c0)),
-    }
+def _s_expansions(d: int, rows):
+    """Exact integer coefficients, ascending in s, of A + y^(d-2) B for each
+    weight row, through its degree d - 2 + n: y^(d-2) and each y^k s^(3-k)
+    of the forms are expanded by binomials, with y = 1 - s."""
+    power = [(-1) ** q * math.comb(d - 2, q) for q in range(d - 1)]
+    out = []
+    for a, b, n in _forms(d, rows):
+        poly = [0] * (d + 2)
+        for form, factor in ((a, [1]), (b, power)):
+            for k, c in enumerate(form):
+                for r in range(k + 1):
+                    term = (-1) ** r * math.comb(k, r) * c
+                    for q, p in enumerate(factor):
+                        poly[3 - k + r + q] += term * p
+        out.append(tuple(poly[: d - 1 + n]))
+    return tuple(out)
 
 
-def _horner_float(coeffs, s: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
+@lru_cache(maxsize=None)
+def _float_forms(d: int, rows):
+    """The cubic forms as floats, shape (rows, 2, 4), and the s-expansions as
+    polynomials in v = d*s/2, zero-padded to shape (d + 2, rows): the k-th
+    coefficient is multiplied by (2/d)^k, so none overflows at any d."""
+    scaled = np.zeros((d + 2, len(rows)))
+    for j, poly in enumerate(_s_expansions(d, rows)):
+        scaled[: len(poly), j] = [(c << k) / d ** k for k, c in enumerate(poly)]
+    forms = np.array([(a, b) for a, b, _ in _forms(d, rows)], dtype=float)
+    forms.flags.writeable = scaled.flags.writeable = False  # shared by the cache
+    return forms, scaled
+
+
+def _values(d: int, rows, y: np.ndarray) -> list[np.ndarray]:
+    """sum_i w_i c_i over y for each weight row w.  The cubic forms give it
+    as s^3 times a cubic in t = y/s where s = 1 - y >= 2/d.  Below, where A
+    and y^(d-2) B cancel, Horner in v = d*s/2 on the exact s-expansion."""
+    if d < 2:
+        raise InvalidInputError("d must be at least 2")
+    forms, scaled = _float_forms(d, rows)
+    s = 1.0 - y
+    near = s < 2.0 / d
+    v = s[near] * (d / 2)
+    tails = np.zeros((len(rows), v.size))
+    for c in scaled[::-1] if v.size else ():
+        tails *= v
+        tails += c[:, None]
+    t, p, s3 = y / s, y ** (d - 2), s * s * s
+    out = []
+    for (a, b), tail in zip(forms, tails):
+        val = a[3] + p * b[3]
+        for k in (2, 1, 0):
+            val *= t
+            val += a[k] + p * b[k]
+        val *= s3
+        val[near] = tail
+        out.append(val)
+    return out
 
 
 def quad_coeffs(d: int, y: float) -> QuadCoeffs:
-    """Coefficients of the stationarity quadratic at (d, y).
-
-    For y above 1/2 the direct formulas lose all significance (everything
-    vanishes to third order or higher at y = 1), so the exact shifted
-    expansions in s = 1 - y are used there instead.
-    """
-    if d < 2:
-        raise InvalidInputError("d must be at least 2")
+    """Coefficients of the stationarity quadratic at (d, y)."""
     if not 0.0 < y < 1.0:
         raise InvalidInputError("y must lie strictly between 0 and 1")
-    if y > 0.5:
-        s = 1.0 - y
-        p2, p1, p0 = _shifted_polys(d)
-        return QuadCoeffs(d, y, _horner_float(p2, s), _horner_float(p1, s),
-                          _horner_float(p0, s))
-    omy = 1.0 - y
-    c2 = math.fsum([2.0, -2.0 * y ** (d - 1), -(d - 1) * omy,
-                    -(d - 1) * omy * y ** (d - 2)])
-    c1 = (d - 1) * omy * omy * (1.0 - y ** (d - 2))
-    c0 = -2.0 * omy * omy * (1.0 - y ** (d - 1))
+    rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    c2, c1, c0 = (float(v[0]) for v in _values(d, rows, np.array([y], dtype=float)))
     return QuadCoeffs(d, y, c2, c1, c0)
-
-
-def _claim_values(d: int, y_grid: np.ndarray):
-    """Vectorized values of the three certified quantities over the grid."""
-    out = {}
-    low = y_grid <= 0.5
-    y_lo = y_grid[low]
-    s_hi = 1.0 - y_grid[~low]
-    polys = _claim_polys(d)
-    direct = {
-        "lead_coeff": lambda y: (2.0 - 2.0 * y ** (d - 1)
-                                 - (d - 1) * (1.0 - y) * (1.0 + y ** (d - 2))),
-        "slope_at_one": lambda y: (4.0 * (1.0 - y ** (d - 1))
-                                   - (d - 1) * (1.0 - y)
-                                   * (1.0 + y + (3.0 - y) * y ** (d - 2))),
-        "value_at_one": lambda y: (2.0 - 2.0 * y ** (d - 1)
-                                   - (d - 1) * (1.0 - y) * (1.0 + y ** (d - 2))
-                                   + (d - 1) * (1.0 - y) ** 2 * (1.0 - y ** (d - 2))
-                                   - 2.0 * (1.0 - y) ** 2 * (1.0 - y ** (d - 1))),
-    }
-    for name, poly in polys.items():
-        vals = np.empty(y_grid.size)
-        vals[low] = direct[name](y_lo)
-        coef = np.array(poly, dtype=float)
-        vals[~low] = np.polynomial.polynomial.polyval(s_hi, coef)
-        out[name] = vals
-    return out
 
 
 def default_y_grid(n: int = 10_000) -> np.ndarray:
@@ -179,16 +172,8 @@ def sign_certificates(d: int, y_grid) -> CertificateReport:
         raise InvalidInputError("y grid must be nonempty")
     if np.any((y_grid <= 0.0) | (y_grid >= 1.0)):
         raise InvalidInputError("y grid must lie strictly inside (0, 1)")
-    vals = _claim_values(d, y_grid)
-    maxima = {name: float(np.max(v)) for name, v in vals.items()}
-    return CertificateReport(
-        d=d,
-        grid_size=int(y_grid.size),
-        max_lead_coeff=maxima["lead_coeff"],
-        max_slope_at_one=maxima["slope_at_one"],
-        max_value_at_one=maxima["value_at_one"],
-        roots_excluded=all(m < 0.0 for m in maxima.values()),
-    )
+    maxima = [float(v.max()) for v in _values(d, tuple(_CLAIMS.values()), y_grid)]
+    return CertificateReport(d, int(y_grid.size), *maxima, all(m < 0.0 for m in maxima))
 
 
 def quad_roots(c: QuadCoeffs) -> list[float]:
@@ -222,7 +207,8 @@ def certify_signs_rigorous(d: int):
     Returns {claim: bool}; a claim is only certified when every box is
     certified within MAX_BOXES boxes.
     """
-    return {name: _certify_negative(poly) for name, poly in _claim_polys(d).items()}
+    polys = _s_expansions(d, tuple(_CLAIMS.values()))
+    return {name: _certify_negative(poly) for name, poly in zip(_CLAIMS, polys)}
 
 
 def _strip_endpoint_roots(coeffs):

@@ -45,10 +45,11 @@ EXIT_CLAIM_FAILED = 4
 
 class _Parser(argparse.ArgumentParser):
     """Raises InvalidInputError where argparse would print usage and exit,
-    and takes no option prefix as the option (``--me`` is not ``--method``)."""
+    ArgumentError where a value fails its check, and takes no option prefix
+    as the option (``--me`` is not ``--method``)."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
+        super().__init__(*args, allow_abbrev=False, exit_on_error=False, **kwargs)
 
     def error(self, message):
         raise InvalidInputError(message)
@@ -127,9 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_argv(path: str) -> tuple[list[str], list[str]]:
-    """The ``key=value`` lines of a config file as flags, and the keys set
-    false: ``--key=value``, a bare ``--key`` for true, nothing for false."""
+def _config_argv(path: str) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
+    """The ``key=value`` lines of a config file as (line, flag) pairs, and
+    the keys set false: ``--key=value``, a bare ``--key`` for true, nothing
+    for false."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -145,9 +147,9 @@ def _config_argv(path: str) -> tuple[list[str], list[str]]:
             raise InvalidInputError(f"{path}:{line_no}: expected key=value, got {body!r}")
         key, value = key.strip().replace("_", "-"), value.strip()
         if value.lower() == "false":
-            off.append(key)
+            off.append((line_no, key))
         else:
-            flags.append(f"--{key}" if value.lower() == "true" else f"--{key}={value}")
+            flags.append((line_no, f"--{key}" if value.lower() == "true" else f"--{key}={value}"))
     return flags, off
 
 
@@ -276,11 +278,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     d = args.d
     ts = args.t_range
     mode = args.mode
+    if args.a is not None and mode != "classify":
+        raise InvalidInputError(f"--a sets the direction of --mode classify, not {mode}")
     if mode == "maximize" and ts[0] <= 0.5:
         raise InvalidInputError("maximize mode needs t > 0.5 everywhere in the grid")
-    direction = None
-    if mode == "classify" and args.a is not None:
-        direction = _direction(args)
+    direction = None if args.a is None else _direction(args)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["d", "t", "V_closed", "V_best", "angle", "count_below", "kind"])
@@ -321,16 +323,25 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         config, argv = _CONFIG.parse_known_args(argv)
-        off = []
+        parser, off = build_parser(), []
         if config.config is not None:
             flags, off = _config_argv(config.config)
-            argv[1:1] = flags  # after the subcommand, before the explicit flags
-        args = build_parser().parse_args(argv)
-        for key in off:
+            argv[1:1] = [flag for _, flag in flags]  # after the subcommand
+            for line_no, flag in flags if argv and argv[0] in _COMMANDS else ():
+                try:  # each file value alone, so that a failing one names its line
+                    parser.parse_args([argv[0], flag])
+                except argparse.ArgumentError as exc:
+                    if exc.argument_name is not None:  # None: flags missing, not this value
+                        raise InvalidInputError(f"{config.config}:{line_no}: {exc}") from exc
+                except InvalidInputError:
+                    pass  # the value passed; other required flags are missing
+        args = parser.parse_args(argv)
+        for line_no, key in off:
             if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
-                raise InvalidInputError(f"{config.config}: {key} is not a flag of {args.command}")
+                raise InvalidInputError(
+                    f"{config.config}:{line_no}: {key} is not a flag of {args.command}")
         return _COMMANDS[args.command](args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (CapacityError, ConvergenceError) as exc:

@@ -43,6 +43,9 @@ TRUNC_CAP = 4096.0
 #: Truncation point used when the closed-form tail takes over.
 ANALYTIC_TAIL_N = 256.0
 
+#: Gauss panels the integral route may refine to before it gives up.
+MAX_PANELS = 200_000
+
 _GAUSS_LO = np.polynomial.legendre.leggauss(7)
 _GAUSS_HI = np.polynomial.legendre.leggauss(15)
 
@@ -64,7 +67,6 @@ _AUX_SERIES = np.array(
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float
-    max_panels: int
     trunc_N: float
     m2: float
     analytic_tail: bool
@@ -73,9 +75,7 @@ class QuadratureConfig:
     norm: float
 
 
-def make_quadrature_config(
-    spec: SectionSpec, abs_tol: float = 1e-9, max_panels: int = 200_000
-) -> QuadratureConfig:
+def make_quadrature_config(spec: SectionSpec, abs_tol: float = 1e-9) -> QuadratureConfig:
     """Derive truncation data for a spec from the integrand's tail bounds.
 
     Two rigorous bounds are available: 1/(m2 u^2) from the two smallest
@@ -110,7 +110,6 @@ def make_quadrature_config(
         trunc = ANALYTIC_TAIL_N
     return QuadratureConfig(
         abs_tol=abs_tol,
-        max_panels=max_panels,
         trunc_N=trunc,
         m2=m2,
         analytic_tail=analytic,
@@ -148,7 +147,7 @@ def tail_bound_sharp(cfg: QuadratureConfig, N: float) -> float:
     return 2.0 * cfg.norm / (math.pi * cfg.m_tail * (j - 1) * N ** (j - 1))
 
 
-def adaptive_panel_integral(f, lo, hi, abs_budget, max_panels=200_000, max_width=None):
+def adaptive_panel_integral(f, lo, hi, abs_budget, max_panels=MAX_PANELS, max_width=None):
     """Integrate f over [lo, hi] by bisection-refined Gauss panels.
 
     f must accept a 1-d node array.  A panel's error is estimated as the
@@ -497,7 +496,7 @@ def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = No
 
     budget = cfg.abs_tol * math.pi / (4.0 * norm)
     part, qerr, _ = adaptive_panel_integral(
-        f, 0.0, cfg.trunc_N, budget, max_panels=cfg.max_panels, max_width=half_period
+        f, 0.0, cfg.trunc_N, budget, max_panels=MAX_PANELS, max_width=half_period
     )
     value = 2.0 * prefactor * part
     err = 2.0 * prefactor * qerr

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -227,3 +228,61 @@ class TestRigorousCertification:
                 assert ok, coeffs
             seen.add(ok)
         assert seen == {True, False}
+
+
+def _exact_coeffs(d, y):
+    """c2, c1, c0 at the rational y, from the formulas of the paper."""
+    y = Fraction(y)
+    s = 1 - y
+    return (2 - 2 * y ** (d - 1) - (d - 1) * s * (1 + y ** (d - 2)),
+            (d - 1) * s * s * (1 - y ** (d - 2)),
+            -2 * s * s * (1 - y ** (d - 1)))
+
+
+class TestOneIntegerForm:
+    """c2, c1, c0 and the three claims all come from one integer form."""
+
+    def test_floats_match_exact_evaluation(self):
+        grid = default_y_grid()
+        pick = np.r_[0:5, 50:55, 95:105, 1000:grid.size - 1000:1500,
+                     grid.size - 105:grid.size - 95, grid.size - 55:grid.size - 50,
+                     grid.size - 5:grid.size]
+        assert grid[0] < 1e-6 and grid[-1] > 1 - 1e-6  # both log-spaced ends
+        for d in (3, 5, 6, 12, 60, 98, 120, 200, 320):
+            for y in map(float, grid[pick]):
+                c = quad_coeffs(d, y)
+                rep = sign_certificates(d, [y])
+                e2, e1, e0 = _exact_coeffs(d, y)
+                pairs = [(c.c2, e2), (c.c1, e1), (c.c0, e0),
+                         (rep.max_lead_coeff, e2), (rep.max_slope_at_one, 2 * e2 + e1),
+                         (rep.max_value_at_one, e2 + e1 + e0)]
+                for got, exact in pairs:
+                    # relative, or absolute where the exact value is 0 (d = 3 lead)
+                    scale = abs(exact) if exact != 0 else 1
+                    assert abs(Fraction(got) - exact) <= scale * Fraction(1, 10**12), (d, y)
+
+    def test_roots_excluded_through_d320(self):
+        grid = default_y_grid()
+        assert [d for d in range(6, 321) if not sign_certificates(d, grid).roots_excluded] == []
+
+    @pytest.mark.parametrize("d", [98, 120, 200, 320])
+    def test_grid_agrees_with_exact_certificate(self, d):
+        rep = sign_certificates(d, default_y_grid())
+        assert rep.roots_excluded == all(certify_signs_rigorous(d).values())
+
+    def test_s_expansion_equals_y_form(self):
+        # exactly, at rational s: the integer s-expansions handed to the
+        # Bernstein test, the cubic forms A + y^(d-2) B, and the formulas
+        rows = (*certificates._CLAIMS.values(), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for d in (3, 5, 6, 13, 40):
+            polys = certificates._s_expansions(d, rows)
+            forms = certificates._forms(d, rows)
+            for s in (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6), Fraction(1, 10**6)):
+                y = 1 - s
+                exact = _exact_coeffs(d, y)
+                for row, poly, (a, b, _) in zip(rows, polys, forms):
+                    cubic = [y ** k * s ** (3 - k) for k in range(4)]
+                    y_form = sum(map(math.prod, zip(a, cubic))) + y ** (d - 2) * sum(
+                        map(math.prod, zip(b, cubic)))
+                    assert sum(c * s ** k for k, c in enumerate(poly)) == y_form
+                    assert y_form == sum(w * e for w, e in zip(row, exact))

@@ -4,7 +4,9 @@ import math
 import pytest
 
 from hyperslice.cli import main
+from hyperslice.geometry import make_section_spec
 from hyperslice.maximizer import closed_form_max
+from hyperslice.vertexsum import section_volume_vertex_sum
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +191,17 @@ class TestCertifyCommand:
         code, _, _ = run_cli(capsys, "certify", "--d-range", "9:4")
         assert code == 2
 
+    def test_grid_and_exact_certificates_agree_from_d98(self, capsys):
+        # the grid's float values keep their sign where the quantities vanish
+        # to high order near y = 1
+        code, out, _ = run_cli(
+            capsys, "certify", "--d-range", "98:100", "--grid", "2000", "--rigorous"
+        )
+        assert code == 0
+        for block in json.loads(out)["certificates"]:
+            assert block["roots_excluded"]
+            assert all(block["certified"].values())
+
 
 class TestScanCommand:
     def test_diagonal_sweep_decreasing(self, capsys):
@@ -251,6 +264,23 @@ class TestScanCommand:
         code, _, _ = run_cli(capsys, "scan", "--d", "3", "--t-range", "1:0:5")
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["diagonal", "maximize"])
+    def test_direction_outside_classify_mode_is_invalid(self, capsys, mode):
+        code, out, err = run_cli(capsys, "scan", "--d", "3", "--t-range", "0.6:0.7:2",
+                                 "--mode", mode, "--a", "0.1,0.5,0.9")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--a" in err
+
+    def test_classify_mode_takes_direction(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "--d", "3", "--t-range", "0.1:0.2:2",
+                               "--mode", "classify", "--a", "0.1,0.5,0.9")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        spec = make_section_spec([0.1, 0.5, 0.9], 0.1)
+        assert float(rows[0][3]) == pytest.approx(section_volume_vertex_sum(spec).value,
+                                                  rel=1e-11)
+        assert float(rows[0][4]) > 0.5  # the angle of (0.1, 0.5, 0.9), not 0
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, capsys, tmp_path):
@@ -288,23 +318,32 @@ class TestMalformedValues:
     """Every malformed value, from a flag or a config line, exits 2 with an
     error line and prints nothing on stdout."""
 
-    @pytest.mark.parametrize("command, text", [
-        ("volume", "d=abc\nt=1.0\ndiagonal=true\n"),
-        ("volume", "d=5\nt=1.0\ndiagonal=true\nmethod=mc\nmc_n=1e6\n"),
-        ("volume", "d=5\nt=1.0\ndiagonal=true\nmethod=bogus\n"),
-        ("scan", "d=5\nt_range=0.87:1.11:5\nmode=bogus\n"),
-        ("volume", "d=5\nt=1.0\ndiagonal=true\nme=all\n"),  # no prefix matching
-        ("volume", "d=5\nt=1.0\ndiagonal=1\n"),
-        ("maximize", "d=5\nt=1.0\nstarts=false\n"),
-        ("volume", "d=5\nt=1.0\ndiagonal=true\nconfig=other.cfg\n"),
-        ("volume", "d=5\nt=1.0\njust text\n"),
+    @pytest.mark.parametrize("command, text, line", [
+        ("volume", "d=abc\nt=1.0\ndiagonal=true\n", 1),
+        ("volume", "d=5\nt=1.0\ndiagonal=true\nmethod=mc\nmc_n=1e6\n", 5),
+        ("volume", "d=5\nt=1.0\ndiagonal=true\nmethod=bogus\n", 4),
+        ("scan", "d=5\nt_range=0.87:1.11:5\nmode=bogus\n", 3),
+        ("volume", "d=5\nt=1.0\ndiagonal=true\nme=all\n", None),  # no prefix matching
+        ("volume", "d=5\nt=1.0\ndiagonal=1\n", 3),
+        ("maximize", "d=5\nt=1.0\nstarts=false\n", 3),
+        ("volume", "d=5\nt=1.0\ndiagonal=true\nconfig=other.cfg\n", None),
+        ("volume", "d=5\nt=1.0\njust text\n", 3),
     ], ids=["d_abc", "mc_n_float", "method_bogus", "mode_bogus", "prefix_key",
             "flag_with_value", "false_on_value_option", "nested_config", "no_equals"])
-    def test_config_line(self, capsys, tmp_path, command, text):
+    def test_config_line(self, capsys, tmp_path, command, text, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         code, out, err = run_cli(capsys, command, "--config", str(cfg))
         assert code == 2 and out == "" and "error" in err
+        if line is not None:  # a value the file gave is named by file and line
+            assert err.startswith(f"error: {cfg}:{line}: ")
+
+    def test_flag_error_keeps_its_message_beside_a_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d=5\nt=1.0\ndiagonal=true\n")
+        code, out, err = run_cli(capsys, "volume", "--config", str(cfg), "--d", "abc")
+        assert code == 2 and out == ""
+        assert err == "error: argument --d: invalid int value: 'abc'\n"
 
     @pytest.mark.parametrize("argv", [
         ("volume", "--d", "3", "--a", "0.2,x,0.5", "--t", "0.1"),

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hyperslice import integral
 from hyperslice.errors import ConvergenceError, NonintegrableTailError
 from hyperslice.geometry import diagonal_section_spec, make_section_spec
 from hyperslice.integral import (
@@ -158,9 +159,10 @@ class TestSectionVolumeIntegral:
         with pytest.raises(NonintegrableTailError):
             section_volume_integral(make_section_spec([1, 0, 0], 0.2))
 
-    def test_convergence_error_on_tiny_budget(self):
+    def test_convergence_error_on_tiny_budget(self, monkeypatch):
+        monkeypatch.setattr(integral, "MAX_PANELS", 4)
         spec = diagonal_section_spec(4, 0.2)
-        cfg = make_quadrature_config(spec, abs_tol=1e-9, max_panels=4)
+        cfg = make_quadrature_config(spec, abs_tol=1e-9)
         with pytest.raises(ConvergenceError):
             section_volume_integral(spec, cfg)
 
