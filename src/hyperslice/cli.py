@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -46,10 +47,13 @@ EXIT_CLAIM_FAILED = 4
 class _Parser(argparse.ArgumentParser):
     """Raises InvalidInputError where argparse would print usage and exit,
     ArgumentError where a value fails its check, and takes no option prefix
-    as the option (``--me`` is not ``--method``)."""
+    as the option (``--me`` is not ``--method``).  No option looks like a
+    number, so a token that starts with ``-<digit>`` or ``-.<digit>`` is a
+    value (``--a -1,1,1``), as argparse allows only for plain numbers."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, exit_on_error=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise InvalidInputError(message)

@@ -3,9 +3,10 @@
 The objective on the unit sphere within the nonnegative orthant is the
 vertex-sum section volume; its constrained stationary points are analyzed
 through the Lagrangian L = V/||a|| + lambda (||a||^2 - 1).  Multistart
-projected gradient ascent locates the maximizer, which in the shallow-cut
-radius regimes is the cube diagonal; ``closed_form_max`` gives the volume
-there as one exact integer sum for every radius.
+projected gradient ascent, from the diagonal and from random directions
+moved into the cap sum(a)/2 > t around it, locates the maximizer, which in
+the shallow-cut radius regimes is the cube diagonal; ``closed_form_max``
+gives the volume there as one exact integer sum for every radius.
 
 All starts ascend together, as one array, in one loop (``_ascend``); the
 regime only chooses its objective.  In the band t > sqrt(d-2)/2 the ball
@@ -223,10 +224,10 @@ def _ascend(a0: np.ndarray, t: float, objective):
     row tries 0.1.  It halves its own trial step until the Armijo test
     passes, and leaves the array once it converges: when 0.1 ||grad|| falls
     below tolerance, or no halving with step * ||grad|| above it improves.
-    A row still ascending after ``MAX_ITERATIONS`` is capped.  The volume
-    formulas are singular on the boundary faces, and boundary directions
-    are never optimal in the covered radius regimes, so a step that leaves
-    the open orthant fails and is halved.  A line search probes in array
+    A row still ascending after ``MAX_ITERATIONS`` is capped, and a row
+    that starts at log V = -inf does not move.  The volume formulas are
+    singular on the boundary faces, so a step that leaves the open orthant
+    fails and is halved.  A line search probes in array
     calls, the k-th trying the next 2^k halvings (1, 2, 4, ...) of the rows
     with no passing step yet; each row takes the first step that passes,
     as backtracking would.
@@ -289,20 +290,21 @@ def _ascend(a0: np.ndarray, t: float, objective):
     return a, log_v, converged, capped
 
 
-def _draw_start(d: int, t: float, seed: int, i: int):
-    """Start i >= 1: the first of 100 draws sqrt(Dirichlet(1, ..., 1)) of
-    substream i with sum(a)/2 > t, or None.  The last 99 come from one
-    call, which yields the same values as 99 calls.  Substream i is
-    ``Philox(key=seed).jumped(i)``, which only adds i to the third counter
-    word; setting that counter directly gives the same stream at a third
-    of the cost."""
+def _draw_start(d: int, t: float, seed: int, i: int) -> np.ndarray:
+    """Start i >= 1: one draw x = sqrt(Dirichlet(1, ..., 1)) of substream i
+    (``Philox(key=seed).jumped(i)``), turned toward the diagonal e in the
+    plane of e and x, its angle to e scaled by acos(2t/sqrt(d)) /
+    acos(1/sqrt(d)).  The cap sum(a)/2 > t is the angle acos(2t/sqrt(d))
+    around e, and x lies within acos(1/sqrt(d)), the angle of an axis; so
+    for t > 1/2 the start lies in the cap, on the arc from e to x, inside
+    the orthant."""
     rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
-    cand = np.sqrt(rng.dirichlet(np.ones(d)))
-    if float(np.sum(cand)) / 2.0 - t > 0.0:
-        return cand
-    cands = np.sqrt(rng.dirichlet(np.ones(d), size=99))
-    feasible = np.flatnonzero(np.sum(cands, axis=1) / 2.0 - t > 0.0)
-    return cands[feasible[0]] if feasible.size else None
+    x = np.sqrt(rng.dirichlet(np.ones(d)))
+    e = np.full(d, 1.0 / math.sqrt(d))
+    u = x - (x @ e) * e
+    scale = math.acos(2.0 * t / math.sqrt(d)) / math.acos(1.0 / math.sqrt(d))
+    theta = scale * math.atan2(np.linalg.norm(u), x @ e)
+    return math.cos(theta) * e + math.sin(theta) / np.linalg.norm(u) * u
 
 
 def maximize_section_volume(
@@ -311,15 +313,14 @@ def maximize_section_volume(
     """Multistart projected gradient ascent of the section volume on the
     sphere within the nonnegative orthant.
 
-    Start directions are the diagonal plus square roots of flat-Dirichlet
-    samples with sum(a)/2 > t, up to 100 draws per start; a start with no
-    such draw is infeasible and does not run, and a start still ascending
-    after ``MAX_ITERATIONS`` is capped.  All starts ascend together
-    (``_ascend``), in the band t > sqrt(d-2)/2 on the star form
-    (``_star_objective``) and below it on the exact walk
-    (``_walk_objective``).
-    Each start is pure given its substream, and the best result is
-    selected in start order, so reports are reproducible.
+    Start 0 is the diagonal and start i >= 1 one draw of its substream
+    moved into the cap sum(a)/2 > t (``_draw_start``).  A start still
+    ascending after ``MAX_ITERATIONS`` is capped, and one whose volume is
+    0 from the start (rounding at t near sqrt(d)/2) is infeasible.  All
+    starts ascend together (``_ascend``), in the band t > sqrt(d-2)/2 on
+    the star form (``_star_objective``) and below it on the exact walk
+    (``_walk_objective``).  Each start is pure given its substream, and the
+    best result is selected in start order, so reports are reproducible.
     """
     if d < 2:
         raise InvalidInputError("d must be at least 2")
@@ -342,18 +343,16 @@ def maximize_section_volume(
             "directions give empty sections"
         )
 
-    drawn = [diag.copy()] + [_draw_start(d, t, seed, i) for i in range(1, starts)]
-    ran = [a0 for a0 in drawn if a0 is not None]
+    a0 = np.array([diag] + [_draw_start(d, t, seed, i) for i in range(1, starts)])
     objective = _star_objective if t > math.sqrt(d - 2) / 2.0 else _walk_objective
-    finals, log_values, conv, capped = _ascend(np.array(ran), t, objective)
+    finals, log_values, conv, capped = _ascend(a0, t, objective)
 
     # the first start with the largest value, as in start order; log V is
     # finite where the volume is positive but underflows a float
     best = int(np.argmax(log_values))
-    common = dict(diagonal_volume=closed, starts=starts,
-                  converged_starts=int(np.count_nonzero(conv)),
-                  infeasible_starts=starts - len(ran),
-                  capped_starts=int(np.count_nonzero(capped)))
+    n_conv, n_capped = int(np.count_nonzero(conv)), int(np.count_nonzero(capped))
+    common = dict(diagonal_volume=closed, starts=starts, converged_starts=n_conv,
+                  infeasible_starts=starts - n_conv - n_capped, capped_starts=n_capped)
     if log_values[best] == -np.inf:
         return OptimizerReport(
             best_direction=diag, best_volume=0.0, angle_to_diagonal=0.0,

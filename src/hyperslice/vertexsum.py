@@ -109,8 +109,9 @@ def star_log_ratio(a, b, grad: bool = False):
     b = np.asarray(b, dtype=float).reshape(-1)
     n = a.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        # log(1 - x_i), -inf where a_i >= b
-        log_1mx = np.log1p(-np.minimum(a / b[:, None], 1.0))
+        # log(1 - x_i), -inf where a_i >= b and on rows with b <= 0
+        x = np.divide(a, b[:, None], out=np.ones(a.shape), where=b[:, None] > 0.0)
+        log_1mx = np.log1p(-np.minimum(x, 1.0))
         log_p = (n - 1) * log_1mx
         rest_p = _one_minus_sum_exp(log_p)
         log_w = ((n - 1) * np.log(b) + np.log(rest_p)

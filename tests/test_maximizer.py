@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -268,19 +269,30 @@ class TestBatchedStar:
                 1e-12 * np.linalg.norm(grad / scale))
         assert {0, 1} <= cut_counts
 
-    @pytest.mark.parametrize("d", [12, 20, 40, 60])
-    def test_high_dimensions_reach_diagonal(self, d):
+    @pytest.mark.parametrize("d, starts", [(12, 16), (20, 16), (40, 16), (60, 16), (120, 32)],
+                             ids=["12", "20", "40", "60", "120"])
+    def test_high_dimensions_reach_diagonal(self, d, starts):
         lo, hi = math.sqrt(d - 2) / 2, math.sqrt(d) / 2
         for t in np.linspace(lo, hi, 5)[1:-1]:
-            rep = maximize_section_volume(d, float(t), starts=16, seed=0)
+            rep = maximize_section_volume(d, float(t), starts=starts, seed=0)
             closed = closed_form_max(d, float(t))
+            assert rep.converged_starts == starts, (d, t)
             assert rep.angle_to_diagonal < 1e-4, (d, t)
             assert abs(rep.best_volume - closed) < 1e-9 * closed, (d, t)
 
+    def test_rows_with_nonpositive_offset_do_not_overflow(self):
+        # line-search candidates can leave the cap; their powers are not taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = np.full((1, 120), 120**-0.5)
+            assert star_log_ratio(a, np.array([-1e-6]))[0] == -np.inf
+            assert star_log_ratio(a, np.array([0.0]))[0] == -np.inf
+            rep = maximize_section_volume(120, 5.4428, starts=32, seed=0)
+        assert rep.converged_starts == 32
+
     @pytest.mark.parametrize("d", [12, 40])
     def test_ascent_from_perturbed_starts(self, d):
-        # at high d few random draws clear sum(a)/2 > t; start near the
-        # diagonal instead, so every row ascends
+        # the ascent alone, from rows within a few degrees of the diagonal
         rng = rng_for(d)
         t = math.sqrt(d - 2) / 2 + 0.3 * (math.sqrt(d) - math.sqrt(d - 2)) / 2
         a0 = 1.0 + 0.05 * rng.standard_normal((16, d))
@@ -316,9 +328,10 @@ class TestBatchedStar:
             assert rep.best_volume >= rep.diagonal_volume * (1 - 1e-12)
 
     def test_infeasible_starts_reported(self):
+        # every start lies in the cap sum(a)/2 > t, so every one runs
         rep = maximize_section_volume(7, 1.304, starts=64, seed=0)
-        assert rep.infeasible_starts == 35
-        assert rep.converged_starts <= 29
+        assert rep.infeasible_starts == 0
+        assert rep.converged_starts == 64
 
     def test_start_counts_add_up(self):
         # the acceptance 02/03 grid: every start is infeasible, converged
@@ -340,19 +353,20 @@ class TestBatchedStar:
         assert rep.best_volume == closed_form_max(d, t)
         assert rep.converged_starts + rep.capped_starts + rep.infeasible_starts == 4
 
-    def test_draws_match_one_draw_per_call(self):
-        for d, t, seed in ((7, 1.304, 0), (5, 1.0, 3), (12, 1.66, 1)):
-            for i in range(1, 40):
+    def test_draws_lie_in_the_cap(self):
+        # one draw per start, its angle to the diagonal scaled into the cap
+        for d, t, seed in ((2, 0.7, 4), (3, 0.51, 0), (7, 1.304, 0), (12, 1.72, 1),
+                           (120, 5.47, 3)):
+            diag = np.full(d, 1 / math.sqrt(d))
+            for i in range(1, 30):
+                a = _draw_start(d, t, seed, i)
                 rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-                expect = None
-                for _ in range(100):
-                    cand = np.sqrt(rng.dirichlet(np.ones(d)))
-                    if float(np.sum(cand)) / 2 - t > 0:
-                        expect = cand
-                        break
-                got = _draw_start(d, t, seed, i)
-                assert (got is None) == (expect is None)
-                assert got is None or np.array_equal(got, expect)
+                x = np.sqrt(rng.dirichlet(np.ones(d)))
+                assert np.all(a > 0.0) and np.sum(a) / 2 > t, (d, t, i)
+                assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+                u, v = x - (x @ diag) * diag, a - (a @ diag) * diag
+                assert np.allclose(v / np.linalg.norm(v), u / np.linalg.norm(u),
+                                   rtol=0, atol=1e-9)
 
 
 class TestSpectralStep:
