@@ -25,8 +25,7 @@ ZERO_COORD_TOL = 1e-14
 
 #: Most grouped terms one vertex walk yields before it raises CapacityError.
 #: Distinct coordinates give one term per vertex, so every cut fits up to
-#: d = 18 (2^17 terms at t = 0), and a d = 40 cut at t = 0 gives up after
-#: 1-2 s on a 2-core x86 host.
+#: d = 18 (2^17 terms at t = 0).
 MAX_TERMS = 1 << 18
 
 
@@ -169,14 +168,23 @@ def vertex_terms(cut: IntegerCut):
     term's children each take one more coordinate from its last nonzero
     group or a later one, and the ascending values stop the scan at the
     first group that no longer fits.  A sum over the terms is exact, and
-    its cost grows with the number of terms, not of vertices.  The walk
-    raises CapacityError as soon as more than MAX_TERMS terms are yielded.
+    its cost grows with the number of terms, not of vertices.  It raises
+    CapacityError once more than MAX_TERMS terms are yielded, or before the
+    first when the groups that fit below b whole give more: every choice
+    of k_g <= m_g from them is a term, prod_g (m_g + 1) in all.
     """
     if cut.offset < 0:
         return
     values, mults = cut.values, cut.mults
+    room, least = cut.offset, 1
+    for value, m in zip(values, mults):
+        room -= value * m
+        if room < 0:
+            break
+        least *= m + 1
     stack = [(cut.offset, 1, (0,) * len(values), 0)]
-    yielded = 0
+    # past the cap the bound stands in for the count: refused before a term
+    yielded = least - 1 if least > MAX_TERMS else 0
     while stack:
         gap, weight, takes, last = stack.pop()
         yielded += 1

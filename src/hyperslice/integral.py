@@ -484,12 +484,12 @@ def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = No
             "the sinc-product integral needs at least two positive coordinates"
         )
     norm = cfg.norm
-    # omega = 2 t ||a|| = sum(a) - 2 b, taken from the offset as the vertex
-    # sum does; its exact parts also go to the tail
+    # omega = 2 t ||a|| = sum(a) - 2 b (negative for b > sum(a)/2), taken from
+    # the offset as the vertex sum does; its exact parts also go to the tail
     omega_parts = np.append(a_pos, -2.0 * spec.offset)
     omega = math.fsum(omega_parts)
     prefactor = norm / math.pi
-    half_period = math.pi / (float(a_pos[-1]) + omega)
+    half_period = math.pi / (float(a_pos[-1]) + abs(omega))
 
     def f(u):
         return sinc_product_integrand(a_pos, omega, u)

@@ -3,10 +3,10 @@
 The objective on the unit sphere within the nonnegative orthant is the
 vertex-sum section volume; its constrained stationary points are analyzed
 through the Lagrangian L = V/||a|| + lambda (||a||^2 - 1).  Multistart
-projected gradient ascent, from the diagonal and from random directions
-moved into the cap sum(a)/2 > t around it, locates the maximizer, which in
-the shallow-cut radius regimes is the cube diagonal; ``closed_form_max``
-gives the volume there as one exact integer sum for every radius.
+projected gradient ascent, from the diagonal and from random directions in
+the cap sum(a)/2 > t around it, all from one Philox stream, locates the
+maximizer, which in the shallow-cut radius regimes is the cube diagonal;
+``closed_form_max`` gives its volume as one exact integer sum at any t.
 
 All starts ascend together, as one array, in one loop (``_ascend``); the
 regime only chooses its objective.  In the band t > sqrt(d-2)/2 the ball
@@ -290,21 +290,22 @@ def _ascend(a0: np.ndarray, t: float, objective):
     return a, log_v, converged, capped
 
 
-def _draw_start(d: int, t: float, seed: int, i: int) -> np.ndarray:
-    """Start i >= 1: one draw x = sqrt(Dirichlet(1, ..., 1)) of substream i
-    (``Philox(key=seed).jumped(i)``), turned toward the diagonal e in the
-    plane of e and x, its angle to e scaled by acos(2t/sqrt(d)) /
-    acos(1/sqrt(d)).  The cap sum(a)/2 > t is the angle acos(2t/sqrt(d))
-    around e, and x lies within acos(1/sqrt(d)), the angle of an axis; so
-    for t > 1/2 the start lies in the cap, on the arc from e to x, inside
-    the orthant."""
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
-    x = np.sqrt(rng.dirichlet(np.ones(d)))
-    e = np.full(d, 1.0 / math.sqrt(d))
-    u = x - (x @ e) * e
-    scale = math.acos(2.0 * t / math.sqrt(d)) / math.acos(1.0 / math.sqrt(d))
-    theta = scale * math.atan2(np.linalg.norm(u), x @ e)
-    return math.cos(theta) * e + math.sin(theta) / np.linalg.norm(u) * u
+def _draw_starts(d: int, t: float, seed: int, count: int) -> np.ndarray:
+    """``count`` starts from one stream, Philox(key=seed).  Row i is its
+    d exponentials g as x = sqrt(g / sum(g)), a sqrt(Dirichlet(1, ..., 1))
+    draw, turned toward the diagonal e with its angle to e scaled by
+    acos(2t/sqrt(d)) / acos(1/sqrt(d)): x lies within acos(1/sqrt(d)) of e,
+    the angle of an axis, and the cap sum(a)/2 > t is acos(2t/sqrt(d)), so
+    for t > 1/2 the start is in the cap and the open orthant.  Reductions
+    are row sums, so row i has the same bits whatever ``count`` is."""
+    root = math.sqrt(d)
+    g = np.random.Generator(np.random.Philox(key=seed)).standard_exponential((count, d))
+    x = np.sqrt(g / np.sum(g, axis=1, keepdims=True))
+    along = np.sum(x, axis=1, keepdims=True) / root
+    u = x - along / root
+    u_norm = np.linalg.norm(u, axis=1, keepdims=True)
+    theta = math.acos(2.0 * t / root) / math.acos(1.0 / root) * np.arctan2(u_norm, along)
+    return np.cos(theta) / root + np.sin(theta) / u_norm * u
 
 
 def maximize_section_volume(
@@ -313,14 +314,14 @@ def maximize_section_volume(
     """Multistart projected gradient ascent of the section volume on the
     sphere within the nonnegative orthant.
 
-    Start 0 is the diagonal and start i >= 1 one draw of its substream
-    moved into the cap sum(a)/2 > t (``_draw_start``).  A start still
+    Start 0 is the diagonal and the others are the rows of
+    ``_draw_starts``, in the cap sum(a)/2 > t.  A start still
     ascending after ``MAX_ITERATIONS`` is capped, and one whose volume is
     0 from the start (rounding at t near sqrt(d)/2) is infeasible.  All
     starts ascend together (``_ascend``), in the band t > sqrt(d-2)/2 on
     the star form (``_star_objective``) and below it on the exact walk
-    (``_walk_objective``).  Each start is pure given its substream, and the
-    best result is selected in start order, so reports are reproducible.
+    (``_walk_objective``).  Start i depends on (d, t, seed, i) alone, and
+    the best is selected in start order, so reports are reproducible.
     """
     if d < 2:
         raise InvalidInputError("d must be at least 2")
@@ -343,7 +344,7 @@ def maximize_section_volume(
             "directions give empty sections"
         )
 
-    a0 = np.array([diag] + [_draw_start(d, t, seed, i) for i in range(1, starts)])
+    a0 = np.vstack([diag, _draw_starts(d, t, seed, starts - 1)])
     objective = _star_objective if t > math.sqrt(d - 2) / 2.0 else _walk_objective
     finals, log_values, conv, capped = _ascend(a0, t, objective)
 
@@ -360,8 +361,7 @@ def maximize_section_volume(
         )
     best_a = finals[best]
     cosang = float(np.clip(best_a @ diag, -1.0, 1.0))
-    b = float(np.sum(best_a)) / 2.0 - t
-    w, grad = _ratio_gradient(best_a, b)
+    w, grad = _ratio_gradient(best_a, float(np.sum(best_a)) / 2.0 - t)
     lam = -float(grad @ best_a) / 2.0
     residual = float(np.linalg.norm(grad + 2.0 * lam * best_a))
     return OptimizerReport(

@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import irwinhall
 
+from hyperslice import geometry
 from hyperslice.errors import CapacityError, InvalidInputError
 from hyperslice.geometry import (
     CutKind,
     classify_cut,
     coordinate_sum,
     diagonal_section_spec,
+    integer_cut,
     make_section_spec,
+    vertex_terms,
 )
 from hyperslice.vertexsum import section_volume_vertex_sum
 
@@ -153,6 +156,15 @@ class TestVerticesBelow:
             section_volume_vertex_sum(spec)
         assert time.perf_counter() - start < 10.0
 
+    def test_capacity_refused_before_the_first_term(self):
+        # the smallest 29 coordinates fit below b together: 2^29 terms at least
+        spec = make_section_spec(random_unit_direction(rng_for(40), 40), 0.0)
+        cut = integer_cut(spec.direction, spec.offset)
+        assert sum(s <= cut.offset for s in itertools.accumulate(cut.values)) == 29
+        walk = vertex_terms(cut)
+        with pytest.raises(CapacityError, match=f"more than {geometry.MAX_TERMS} grouped"):
+            next(walk)
+
 
 class TestClassifyCut:
     def test_diagonal_corner(self):
@@ -212,6 +224,29 @@ class TestClassifyCut:
                 classify_cut(diagonal_section_spec(d, neighbor_level - 1e-9)).count_below
                 == d + 1
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(min_value=0.01, max_value=1.0),
+                       st.integers(min_value=1, max_value=4)), min_size=1, max_size=10),
+    st.floats(min_value=0.0, max_value=4.0),
+)
+def test_capacity_bound_never_exceeds_the_term_count(groups, b):
+    # a walk capped at exactly its own term count finishes, one term less
+    # refuses it: the pre-walk lower bound never refuses a cut that fits
+    xs = [x for x, m in groups for _ in range(m)][:10]
+    cut = integer_cut(xs, b)
+    count = sum(
+        1 for takes in itertools.product(*(range(m + 1) for m in cut.mults))
+        if sum(k * v for k, v in zip(takes, cut.values)) <= cut.offset
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "MAX_TERMS", count)
+        assert sum(1 for _ in vertex_terms(cut)) == count
+        patch.setattr(geometry, "MAX_TERMS", count - 1)
+        with pytest.raises(CapacityError):
+            list(vertex_terms(cut))
 
 
 @settings(max_examples=60, deadline=None)

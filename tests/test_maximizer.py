@@ -10,7 +10,7 @@ from hyperslice.geometry import classify_cut, diagonal_section_spec, make_sectio
 from hyperslice import maximizer
 from hyperslice.maximizer import (
     _ascend,
-    _draw_start,
+    _draw_starts,
     _ratio_gradient,
     _star_objective,
     closed_form_max,
@@ -354,19 +354,42 @@ class TestBatchedStar:
         assert rep.converged_starts + rep.capped_starts + rep.infeasible_starts == 4
 
     def test_draws_lie_in_the_cap(self):
-        # one draw per start, its angle to the diagonal scaled into the cap
+        # row i is the i-th Dirichlet draw of one stream, its angle to the
+        # diagonal scaled into the cap
         for d, t, seed in ((2, 0.7, 4), (3, 0.51, 0), (7, 1.304, 0), (12, 1.72, 1),
                            (120, 5.47, 3)):
             diag = np.full(d, 1 / math.sqrt(d))
-            for i in range(1, 30):
-                a = _draw_start(d, t, seed, i)
-                rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-                x = np.sqrt(rng.dirichlet(np.ones(d)))
+            starts = _draw_starts(d, t, seed, 29)
+            g = np.random.Generator(np.random.Philox(key=seed)).standard_exponential((29, d))
+            for i, (a, gi) in enumerate(zip(starts, g)):
+                x = np.sqrt(gi / gi.sum())
                 assert np.all(a > 0.0) and np.sum(a) / 2 > t, (d, t, i)
                 assert abs(np.linalg.norm(a) - 1.0) < 1e-12
                 u, v = x - (x @ diag) * diag, a - (a @ diag) * diag
                 assert np.allclose(v / np.linalg.norm(v), u / np.linalg.norm(u),
                                    rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 7, 12, 120, 300])
+    def test_draws_are_prefix_stable(self, d):
+        # row i is the same bits whatever the number of rows drawn
+        t = 0.5 + 0.4 * (math.sqrt(d) / 2 - 0.5)
+        for seed in (0, 3, 2**127):
+            head = _draw_starts(d, t, seed, 7)
+            for n in (8, 29, 63, 500):
+                assert np.array_equal(_draw_starts(d, t, seed, n)[:7], head), (seed, n)
+
+    def test_one_stream_per_call(self, monkeypatch):
+        made = []
+        real = np.random.Philox
+
+        def counted(*args, **kwargs):
+            made.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        rep = maximize_section_volume(7, 1.2, starts=64, seed=5)
+        assert made == [{"key": 5}]
+        assert rep.converged_starts == 64
 
 
 class TestSpectralStep:

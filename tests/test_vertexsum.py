@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import irwinhall
 
@@ -17,6 +17,7 @@ from hyperslice.geometry import (
     diagonal_section_spec,
     make_section_spec,
 )
+from hyperslice.integral import section_volume_integral
 from hyperslice.maximizer import closed_form_max
 from hyperslice.vertexsum import (
     _vertex_sum,
@@ -193,6 +194,32 @@ def test_err_is_an_honest_bound(spec):
     assert value - err <= ratio * lo and ratio * hi <= value + err
     result = halfspace_volume(spec)
     assert abs(Fraction(result.value) - half) <= Fraction(result.err)
+
+
+@st.composite
+def tiny_coordinate_cuts(draw):
+    """d = 2..7: at least two coordinates in [0.05, 1] and up to two in
+    [1e-10, 1e-4], normalized, with an offset b in (0, sum(a))."""
+    d = draw(st.integers(2, 7))
+    n_tiny = draw(st.integers(0, min(2, d - 2)))
+    a = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=d - n_tiny, max_size=d - n_tiny))
+                 + draw(st.lists(st.floats(1e-10, 1e-4), min_size=n_tiny, max_size=n_tiny)))
+    a = np.array(draw(st.permutations(list(a / np.linalg.norm(a)))))
+    b = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * math.fsum(a)
+    return SectionSpec(dim=d, direction=a, radius=math.fsum(a) / 2 - b, offset=b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_coordinate_cuts())
+@example(SectionSpec(  # b > sum(a)/2: panels sized for omega > 0 were too wide
+    dim=5, direction=np.array([0.46781285, 0.45850976, 0.34592449, 0.60523028, 0.29146612]),
+    radius=-0.9038604378630077, offset=1.9883321839875312))
+def test_integral_err_is_an_honest_bound(spec):
+    ratio, _ = _exact_volumes(spec.direction, spec.offset)
+    lo, hi = _sqrt_bounds(sum(Fraction(float(x)) ** 2 for x in spec.direction))
+    result = section_volume_integral(spec)
+    value, err = Fraction(result.value), Fraction(result.err)
+    assert value - err <= ratio * lo and ratio * hi <= value + err
 
 
 class TestHalfspaceVolume:
