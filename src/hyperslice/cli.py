@@ -32,7 +32,7 @@ from .certificates import (
     sign_certificates,
 )
 from .errors import CapacityError, ConvergenceError, HypersliceError, InvalidInputError
-from .geometry import classify_cut, diagonal_section_spec, make_section_spec
+from .geometry import classify_cut, countable_cut, diagonal_section_spec, make_section_spec
 from .integral import make_quadrature_config, section_volume_integral
 from .maximizer import closed_form_max, decay_inequality_check, maximize_section_volume
 from .montecarlo import mc_section_volume
@@ -171,7 +171,9 @@ def _spec_from_args(args: argparse.Namespace):
     return make_section_spec(_direction(args), args.t)
 
 
-def _cut_payload(cut) -> dict:
+def _cut_payload(cut) -> dict | None:
+    if cut is None:
+        return None
     return {"count": cut.count_below, "kind": cut.kind.value}
 
 
@@ -191,7 +193,7 @@ def cmd_volume(args: argparse.Namespace) -> int:
     if method in ("mc", "all"):
         est, stderr = mc_section_volume(spec, n=args.mc_n, seed=args.seed)
         results.append({"method": "monte_carlo", "value": float(est),
-                        "err": float(stderr), "cut": _cut_payload(classify_cut(spec))})
+                        "err": float(stderr), "cut": _cut_payload(countable_cut(spec))})
     payload = {
         "spec": {
             "d": spec.dim,

@@ -78,7 +78,7 @@ class VolumeResult:
     value: float
     method: str  # vertex_sum | integral | monte_carlo | closed_form
     err: float
-    cut: CutClassification
+    cut: CutClassification | None  # None: too many terms to count (countable_cut)
 
 
 def coordinate_sum(x) -> float:
@@ -234,3 +234,13 @@ def classify_cut(spec: SectionSpec) -> CutClassification:
     a, b = spec.direction, spec.offset
     count = sum(abs(weight) for weight, _, _ in vertex_terms(integer_cut(a, b)))
     return classify_count(a, b, count)
+
+
+def countable_cut(spec: SectionSpec) -> CutClassification | None:
+    """``classify_cut(spec)``, or None when the walk would exceed
+    ``MAX_TERMS`` grouped terms: for routes whose value does not rest on
+    the count."""
+    try:
+        return classify_cut(spec)
+    except CapacityError:
+        return None

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError, NonintegrableTailError
-from .geometry import SectionSpec, VolumeResult, ZERO_COORD_TOL, classify_cut
+from .geometry import SectionSpec, VolumeResult, ZERO_COORD_TOL, countable_cut
 
 _EPS = float(np.finfo(float).eps)
 
@@ -474,7 +474,11 @@ def _tail_closed_form(a_pos, omega, N, tol=0.0):
 
 
 def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = None) -> VolumeResult:
-    """(d-1)-volume of the section via the sinc-product integral."""
+    """(d-1)-volume of the section via the sinc-product integral.
+
+    The quadrature never reads the vertex count: ``cut`` is None on a cut
+    with more grouped terms than ``classify_cut`` counts, and the value and
+    err are returned all the same."""
     if cfg is None:
         cfg = make_quadrature_config(spec)
     a = spec.direction
@@ -507,9 +511,5 @@ def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = No
         err += 2.0 * prefactor * tail_err
     else:
         err += min(tail_bound(cfg, cfg.trunc_N), tail_bound_sharp(cfg, cfg.trunc_N))
-    return VolumeResult(
-        value=max(value, 0.0),
-        method="integral",
-        err=err,
-        cut=classify_cut(spec),
-    )
+    return VolumeResult(value=max(value, 0.0), method="integral", err=err,
+                        cut=countable_cut(spec))

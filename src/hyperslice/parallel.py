@@ -1,33 +1,66 @@
-"""Worker-pool sizing for the Monte Carlo batches.
+"""Worker-pool sizing and the one pool for the Monte Carlo batches.
 
 The HYPERSLICE_THREADS environment variable bounds parallelism; when unset,
 a small pool sized to the machine is used.  The batches' NumPy kernels
 release the interpreter lock, so threads help there; the results are
 reduced as exact integer counts in a fixed order, so thread scheduling
 never changes an output bit.
+
+The pool lives for the whole process.  It is built on the first call that
+runs threaded (importing this module starts no thread) and rebuilt only
+when worker_count() changes between calls; the old pool finishes the tasks
+already given to it.  A child process made by fork starts without a pool,
+since the parent's worker threads do not exist in it.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+
+from .errors import InvalidInputError
+
+_lock = threading.Lock()
+_pool: ThreadPoolExecutor | None = None
+_pool_threads = 0
 
 
 def worker_count() -> int:
+    """Threads for ordered_map: HYPERSLICE_THREADS, a positive integer,
+    or min(4, cpu count) when it is unset."""
     raw = os.environ.get("HYPERSLICE_THREADS")
-    if raw is not None:
-        try:
-            return max(int(raw), 1)
-        except ValueError:
-            return 1
-    return min(4, os.cpu_count() or 1)
+    if raw is None:
+        return min(4, os.cpu_count() or 1)
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise InvalidInputError(f"HYPERSLICE_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
+def _forget_pool() -> None:
+    global _lock, _pool, _pool_threads
+    _lock, _pool, _pool_threads = threading.Lock(), None, 0
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def ordered_map(fn, items):
     """Map preserving input order, threaded when the pool allows it."""
+    global _pool, _pool_threads
     items = list(items)
     threads = worker_count()
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    with _lock:
+        if _pool_threads != threads:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool, _pool_threads = ThreadPoolExecutor(max_workers=threads), threads
+        futures = [_pool.submit(fn, x) for x in items]
+    return [f.result() for f in futures]

@@ -64,6 +64,17 @@ class TestVolumeCommand:
         assert code == 3
         assert "grouped vertex terms" in err
 
+    @pytest.mark.parametrize("method", ["integral", "mc"])
+    def test_uncountable_cut_prints_null(self, capsys, method):
+        # the capacity spec above: only the vertex sum needs the count
+        coords = ",".join(str(1.0 + i / 64) for i in range(40))
+        code, out, _ = run_cli(capsys, "volume", "--d", "40", "--a", coords, "--t", "0",
+                               "--method", method, "--mc-n", "20000")
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert result["cut"] is None
+        assert math.isfinite(result["value"]) and math.isfinite(result["err"])
+
     def test_deep_diagonal_cut_d31(self, capsys):
         code, out, _ = run_cli(
             capsys, "volume", "--d", "31", "--diagonal", "--t", "0.1", "--method", "sum"

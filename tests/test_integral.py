@@ -21,6 +21,7 @@ from hyperslice.integral import (
     tail_bound,
     tail_bound_sharp,
 )
+from hyperslice.montecarlo import mc_section_volume
 from hyperslice.vertexsum import section_volume_vertex_sum
 
 from conftest import exact_section_bounds, rng_for, random_unit_direction
@@ -154,6 +155,20 @@ class TestSectionVolumeIntegral:
                 cfg = make_quadrature_config(spec, abs_tol=1e-8)
                 res = section_volume_integral(spec, cfg)
                 assert abs(res.value - vs.value) <= cfg.abs_tol + vs.err
+
+    @pytest.mark.parametrize("a", [
+        random_unit_direction(rng_for(20), 20),
+        [1.0 + i / 64 for i in range(40)],
+    ], ids=["d20", "d40"])
+    def test_uncountable_cut_keeps_its_value(self, a):
+        # distinct coordinates at t = 0 have more grouped vertex terms than
+        # classify_cut counts; the quadrature never reads the count
+        spec = make_section_spec(a, 0.0)
+        res = section_volume_integral(spec)
+        assert res.cut is None
+        assert math.isfinite(res.value) and res.err < 1e-8
+        est, se = mc_section_volume(spec, 200_000, seed=1)
+        assert abs(res.value - est) <= 4 * se
 
     def test_needs_two_positive_coordinates(self):
         with pytest.raises(NonintegrableTailError):

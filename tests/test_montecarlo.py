@@ -1,8 +1,11 @@
 import math
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from hyperslice import montecarlo, parallel
 from hyperslice.errors import InvalidInputError
 from hyperslice.geometry import diagonal_section_spec, make_section_spec
 from hyperslice.montecarlo import mc_halfspace_volume, mc_section_volume
@@ -11,6 +14,39 @@ from hyperslice.vertexsum import halfspace_volume, section_volume_vertex_sum, st
 from conftest import rng_for, random_unit_direction
 
 N = 200_000
+BATCH = 1 << 16
+
+# d = 4 sections sample m = 3 coordinates: a batch of 123 draws takes 369
+# words, the low half of its 185th raw output but not the high half
+_ODD_SPEC = make_section_spec([0.3, 0.5, 0.6, 0.8], 0.1)
+_ODD_N = 2 * BATCH + 123
+
+
+def _reference_hits(coef, lo, hi, seed, n):
+    """Hits of batch after batch drawn as documented, each summed by one
+    matrix product of the explicit lattice points; returns the hits and the
+    number of points within 1e-12 of a face, where rounding may differ."""
+    hits = near = 0
+    m = coef.size
+    for index, offset in enumerate(range(0, n, BATCH)):
+        size = min(BATCH, n - offset)
+        raw = np.random.PCG64(seed).jumped(index).random_raw(-(-m * size // 2))
+        k = raw.astype("<u8").view("<u4")[: m * size].reshape(m, size)
+        y = coef @ ((k + 0.5) * 2.0**-32)
+        hits += int(np.count_nonzero((y >= lo) & (y <= hi)))
+        near += int(np.count_nonzero((abs(y - lo) < 1e-12) | (abs(y - hi) < 1e-12)))
+    return hits, near
+
+
+def _scales(spec):
+    """(section scale, m) and (half-space scale, m) of the sampled paths."""
+    a, b = spec.direction, spec.offset
+    k = int(np.argmax(a))
+    rest = np.delete(a, k)
+    w_sec = np.minimum(1.0, b / rest)
+    w_half = np.minimum(1.0, b / a)
+    return ((math.prod(w_sec) * float(np.linalg.norm(a)) / a[k], rest.size),
+            (math.prod(w_half), a.size))
 
 
 class TestHalfspaceEstimator:
@@ -128,15 +164,17 @@ class TestBoxSampler:
         with pytest.raises(InvalidInputError):
             mc_halfspace_volume(spec, n, seed=0)
 
-    def test_bit_identical_across_thread_counts(self, monkeypatch):
-        spec = make_section_spec([0.2, 0.5, 0.9, 0.1, 0.4], 0.3)
-        n = 5 * (1 << 16) + 123
+    @pytest.mark.parametrize("spec, n", [
+        (make_section_spec([0.2, 0.5, 0.9, 0.1, 0.4], 0.3), 5 * (1 << 16) + 123),
+        (_ODD_SPEC, _ODD_N),
+    ], ids=["d5", "d4-odd-partial"])
+    def test_bit_identical_across_thread_counts(self, monkeypatch, spec, n):
         outputs = []
-        for threads in ("1", "4"):
+        for threads in ("1", "2", "3", "4"):
             monkeypatch.setenv("HYPERSLICE_THREADS", threads)
             outputs.append((mc_section_volume(spec, n, seed=11),
                             mc_halfspace_volume(spec, n, seed=11)))
-        assert outputs[0] == outputs[1]
+        assert all(out == outputs[0] for out in outputs)
 
 
 def test_consistency_against_formulas():
@@ -161,3 +199,87 @@ def test_consistency_against_formulas():
         trials += 1
         failures += abs(est_s - vs) > 3 * se_s + 6.0 * disk / N
     assert failures <= max(1, trials // 50)
+
+
+class TestLatticeKernel:
+    """The batch kernel: its stream layout, its stderr and its pool."""
+
+    @pytest.mark.parametrize("n", [BATCH, BATCH + 5, _ODD_N])
+    def test_stream_layout(self, n):
+        # batch i reads PCG64(seed).jumped(i).random_raw as little-endian
+        # 32-bit words, whatever the number of later batches
+        coef = np.array([0.3, 0.5, 0.8])
+        hits, near = _reference_hits(coef, 0.4, 0.9, 17, n)
+        assert abs(montecarlo._count_hits(coef, 0.4, 0.9, n, 17) - hits) <= near
+
+    def test_calibration(self):
+        # z = (est - exact) / se over the sampled estimates of 40 random specs
+        # is close to N(0, 1), and each sampled stderr is the binomial term
+        # plus scale * m * 2^-31
+        rng = rng_for(303)
+        zs = []
+        for _ in range(40):
+            d = int(rng.integers(3, 8))
+            a = random_unit_direction(rng, d)
+            spec = make_section_spec(a, float(rng.uniform(0.05, 0.9)) * float(np.sum(a)) / 2)
+            for (est, se), exact, (scale, m) in zip(
+                (mc_section_volume(spec, N, seed=int(rng.integers(2**31))),
+                 mc_halfspace_volume(spec, N, seed=int(rng.integers(2**31)))),
+                (section_volume_vertex_sum(spec).value, halfspace_volume(spec).value),
+                _scales(spec),
+            ):
+                if se == 0.0:  # every box point hits: no sampling
+                    assert est == pytest.approx(exact, rel=1e-12)
+                    continue
+                q = min(max(round(est / scale * N), 1), N - 1) / N
+                assert se == pytest.approx(
+                    scale * (math.sqrt(q * (1 - q) / N) + m * 2.0**-31), rel=1e-12)
+                assert se >= scale * m * 2.0**-31
+                zs.append((est - exact) / se)
+        assert len(zs) >= 40
+        assert abs(np.mean(zs)) < 0.5
+        assert np.std(zs) < 1.3
+
+    def test_one_pool_per_worker_count(self, monkeypatch):
+        built = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(parallel, "_pool", None)
+        monkeypatch.setattr(parallel, "_pool_threads", 0)
+        monkeypatch.setenv("HYPERSLICE_THREADS", "2")
+        first = mc_section_volume(_ODD_SPEC, _ODD_N, seed=3)
+        assert mc_section_volume(_ODD_SPEC, _ODD_N, seed=3) == first
+        assert built == [2]
+        monkeypatch.setenv("HYPERSLICE_THREADS", "3")
+        assert mc_section_volume(_ODD_SPEC, _ODD_N, seed=3) == first
+        assert built == [2, 3]
+        parallel._pool.shutdown()
+
+    def test_forked_child_builds_its_own_pool(self, monkeypatch):
+        # the parent's pool threads do not exist in a forked child; reusing
+        # that pool there would wait forever
+        monkeypatch.setenv("HYPERSLICE_THREADS", "2")
+        expected = mc_section_volume(_ODD_SPEC, _ODD_N, seed=4)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(mc_section_volume, (_ODD_SPEC, _ODD_N, 4)).get(timeout=60)
+        assert got == expected
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+    def test_bad_thread_count_rejected(self, monkeypatch, raw):
+        # refused before any pool is built, so no thread starts
+        def no_pool(max_workers):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(parallel, "_pool", None)
+        monkeypatch.setattr(parallel, "_pool_threads", 0)
+        monkeypatch.setenv("HYPERSLICE_THREADS", raw)
+        with pytest.raises(InvalidInputError, match="HYPERSLICE_THREADS"):
+            parallel.worker_count()
+        with pytest.raises(InvalidInputError, match="HYPERSLICE_THREADS"):
+            mc_section_volume(_ODD_SPEC, _ODD_N, seed=0)
