@@ -164,17 +164,21 @@ class TestBoxSampler:
         with pytest.raises(InvalidInputError):
             mc_halfspace_volume(spec, n, seed=0)
 
-    @pytest.mark.parametrize("spec, n", [
-        (make_section_spec([0.2, 0.5, 0.9, 0.1, 0.4], 0.3), 5 * (1 << 16) + 123),
-        (_ODD_SPEC, _ODD_N),
-    ], ids=["d5", "d4-odd-partial"])
-    def test_bit_identical_across_thread_counts(self, monkeypatch, spec, n):
+    @staticmethod
+    def _assert_same_at_every_thread_count(monkeypatch, spec, n):
         outputs = []
         for threads in ("1", "2", "3", "4"):
             monkeypatch.setenv("HYPERSLICE_THREADS", threads)
             outputs.append((mc_section_volume(spec, n, seed=11),
                             mc_halfspace_volume(spec, n, seed=11)))
         assert all(out == outputs[0] for out in outputs)
+
+    def test_bit_identical_across_thread_counts(self, monkeypatch):
+        spec = make_section_spec([0.2, 0.5, 0.9, 0.1, 0.4], 0.3)
+        self._assert_same_at_every_thread_count(monkeypatch, spec, 5 * BATCH + 123)
+
+    def test_bit_identical_across_thread_counts_odd_partial(self, monkeypatch):
+        self._assert_same_at_every_thread_count(monkeypatch, _ODD_SPEC, _ODD_N)
 
 
 def test_consistency_against_formulas():
