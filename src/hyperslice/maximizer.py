@@ -16,10 +16,13 @@ evaluated in floats.  Below the band each row takes one exact grouped
 vertex walk.  Each row's line search starts from its spectral
 (Barzilai-Borwein) step, the inverse of the curvature along its last move;
 at the diagonal the Hessian is a multiple of the identity on the tangent
-space, so most starts converge within a dozen iterations.  The ascent and
-the choice of the best start run on log V, which stays finite where V
-underflows a float.  The report's volume, multiplier and residual come
-from one exact walk at the chosen direction.
+space, so most starts converge within a dozen iterations.  A row stops as
+soon as no step it may take can change log V by more than log V's
+rounding, so rows already at the diagonal probe no more steps.  The
+ascent and the choice of the best start run on log V, which stays finite
+where V underflows a float.  The report's volume, multiplier and residual
+come from one exact walk at the chosen direction; its direction is a
+read-only copy of the chosen row.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .vertexsum import _vertex_sum, star_log_ratio
 
 MAX_ITERATIONS = 500
 INITIAL_STEP = 0.1
-STEP_GRAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -222,15 +224,19 @@ def _ascend(a0: np.ndarray, t: float, objective):
     acts irreducibly on sum(x) = 0), so that step soon matches it.  On the
     first iteration, and where -s.y <= 0 or the quotient is not finite, the
     row tries 0.1.  It halves its own trial step until the Armijo test
-    passes, and leaves the array once it converges: when 0.1 ||grad|| falls
-    below tolerance, or no halving with step * ||grad|| above it improves.
-    A row still ascending after ``MAX_ITERATIONS`` is capped, and a row
-    that starts at log V = -inf does not move.  The volume formulas are
-    singular on the boundary faces, so a step that leaves the open orthant
-    fails and is halved.  A line search probes in array
-    calls, the k-th trying the next 2^k halvings (1, 2, 4, ...) of the rows
-    with no passing step yet; each row takes the first step that passes,
-    as backtracking would.
+    passes, and leaves the array once it converges: when no step it may
+    still take can change log V by more than log V's own rounding.  A step
+    is usable while its first-order gain step * ||grad||^2 is at least
+    16 eps max(1, |log V|); a row whose trial step is not usable is flat,
+    and one with no usable step that passes has converged.  Near the
+    diagonal a float step gains less than an ulp of log V, so an Armijo
+    pass there would be a rounding lottery.  A row still ascending after
+    ``MAX_ITERATIONS`` is capped, and a row that starts at log V = -inf
+    does not move.  The volume formulas are singular on the boundary
+    faces, so a step that leaves the open orthant fails and is halved.  A
+    line search probes in array calls, the k-th trying the next 2^k
+    halvings (1, 2, 4, ...) of the rows with no passing step yet; each row
+    takes the first step that passes, as backtracking would.
     """
     a = a0.copy()
     log_v = objective(a, t)
@@ -252,15 +258,18 @@ def _ascend(a0: np.ndarray, t: float, objective):
             trial = np.sum(s * s, axis=1) / curv
         trial[~((curv > 0.0) & np.isfinite(trial))] = INITIAL_STEP
         prev_a[active], prev_g[active] = x, tangent
-        flat = INITIAL_STEP * gnorm < STEP_GRAD_TOL
+        # a step's first-order gain step * ||grad||^2 below 16 ulps of log V
+        # cannot be told from rounding
+        floor = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(log_v[active]))
+        flat = trial * gnorm**2 < floor
         converged[active[flat]] = True
         active, tangent = active[~flat], tangent[~flat]
-        gnorm, trial = gnorm[~flat], trial[~flat]
-        # steps[r, k] = trial[r] / 2^k while it keeps step * ||grad|| >= tolerance
-        top = float(np.max(trial * gnorm, initial=0.0)) / STEP_GRAD_TOL
+        gnorm, trial, floor = gnorm[~flat], trial[~flat], floor[~flat]
+        # steps[r, k] = trial[r] / 2^k while its gain stays above the row's floor
+        top = float(np.max(trial * gnorm**2 / floor, initial=0.0))
         halvings = int(math.log2(top)) + 2 if top >= 1.0 else 1
         steps = trial[:, None] * 0.5 ** np.arange(halvings)
-        usable = steps * gnorm[:, None] >= STEP_GRAD_TOL
+        usable = steps * gnorm[:, None] ** 2 >= floor[:, None]
         chosen = np.full(active.size, -1)
         ks = slice(0, 1)
         while ks.start < halvings:
@@ -329,8 +338,10 @@ def maximize_section_volume(
         raise InvalidInputError("need at least one start")
     if not 0 <= seed < 2**128:
         raise InvalidInputError("seed must lie in [0, 2^128), the Philox key range")
+    if not t >= 0.0:
+        raise InvalidInputError("radius t must be a nonnegative real")
     diag = np.full(d, 1.0 / math.sqrt(d))
-    closed = closed_form_max(d, t)
+    diag.setflags(write=False)
     if t >= math.sqrt(d) / 2.0:
         return OptimizerReport(
             best_direction=diag, best_volume=0.0, diagonal_volume=0.0,
@@ -338,11 +349,13 @@ def maximize_section_volume(
             starts=starts, converged_starts=0, infeasible_starts=0,
             capped_starts=0,
         )
+    # refused before closed_form_max, whose exact sum is slow for deep cuts
     if not t > 0.5:
         raise InvalidInputError(
             "the maximizer is defined for t > 1/2, where single-axis "
             "directions give empty sections"
         )
+    closed = closed_form_max(d, t)
 
     a0 = np.vstack([diag, _draw_starts(d, t, seed, starts - 1)])
     objective = _star_objective if t > math.sqrt(d - 2) / 2.0 else _walk_objective
@@ -359,7 +372,9 @@ def maximize_section_volume(
             best_direction=diag, best_volume=0.0, angle_to_diagonal=0.0,
             multiplier=0.0, residual_norm=0.0, **common,
         )
-    best_a = finals[best]
+    # a copy, so the report does not keep every start's row alive
+    best_a = finals[best].copy()
+    best_a.setflags(write=False)
     cosang = float(np.clip(best_a @ diag, -1.0, 1.0))
     w, grad = _ratio_gradient(best_a, float(np.sum(best_a)) / 2.0 - t)
     lam = -float(grad @ best_a) / 2.0

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import mpmath
@@ -224,6 +225,23 @@ class TestMaximize:
         assert r1.best_volume == r2.best_volume
         assert np.array_equal(r1.best_direction, r2.best_direction)
 
+    def test_report_owns_a_read_only_direction(self):
+        # a view of the ascent's rows would keep all of them alive
+        for t in (1.0, 1.2):
+            direction = maximize_section_volume(5, t, starts=8, seed=0).best_direction
+            assert direction.base is None
+            assert not direction.flags.writeable
+
+    def test_small_radius_refused_before_any_work(self):
+        # the exact diagonal sum at d = 1000, t = 0.3 takes tens of seconds
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match="t > 1/2"):
+            maximize_section_volume(1000, 0.3)
+        assert time.perf_counter() - start < 0.5
+        for t in (float("nan"), -0.1):
+            with pytest.raises(InvalidInputError, match="nonnegative real"):
+                maximize_section_volume(5, t)
+
     def test_thread_env_does_not_change_result(self, monkeypatch):
         base = maximize_section_volume(4, 0.95, starts=10, seed=2)
         monkeypatch.setenv("HYPERSLICE_THREADS", "4")
@@ -419,6 +437,65 @@ class TestSpectralStep:
         assert sum(grads) <= 30
         assert rep.angle_to_diagonal < 1e-4
         assert rep.converged_starts + rep.infeasible_starts == 64
+
+
+def _near_diagonal(rng, d, rows, angle):
+    """``rows`` unit rows at ``angle`` from the diagonal, in random
+    tangent directions."""
+    diag = np.full(d, 1 / math.sqrt(d))
+    u = rng.standard_normal((rows, d))
+    u -= (u @ diag)[:, None] * diag
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return math.cos(angle) * diag + math.sin(angle) * u
+
+
+class TestStoppingRule:
+    def test_objective_call_budget(self, monkeypatch):
+        # the acceptance 02/03 grid at seed 0 takes 731 value and gradient
+        # calls; halving every row down to step * ||grad|| = 1e-12 took 1443
+        calls = []
+        for name in ("_star_objective", "_walk_objective"):
+            def counted(a, t, grad=False, real=getattr(maximizer, name)):
+                calls.append(grad)
+                return real(a, t, grad)
+
+            monkeypatch.setattr(maximizer, name, counted)
+        for d in (3, 4, 5, 6, 7):
+            lo, hi = math.sqrt(d - (1 if d < 5 else 2)) / 2, math.sqrt(d) / 2
+            for t in np.linspace(lo, hi, 12)[1:-1]:
+                rep = maximize_section_volume(d, float(t), starts=64, seed=0)
+                assert rep.converged_starts == 64, (d, t)
+        assert len(calls) <= 800
+
+    @pytest.mark.parametrize("d, t", [(5, 1.003), (7, 1.2)])
+    def test_rows_at_the_diagonal_stop_at_once(self, d, t):
+        # no step from within 1e-9 of the diagonal can change log V by
+        # more than its rounding, so no row probes a step
+        calls = []
+
+        def counted(a, t, grad=False):
+            calls.append(grad)
+            return _star_objective(a, t, grad)
+
+        a0 = _near_diagonal(rng_for(d), d, 8, 1e-9)
+        finals, _, converged, capped = _ascend(a0, t, counted)
+        assert calls == [False, True]
+        assert np.all(converged) and not np.any(capped)
+        assert np.array_equal(finals, a0)
+
+    @pytest.mark.parametrize("d", [5, 12, 40, 120])
+    def test_resolvable_rows_keep_ascending(self, d):
+        # from 1e-2, 1e-4 and 1e-6 off the diagonal a step gains many ulps of
+        # log V, so no row stops before it is within about 3e-8 of it; a
+        # floor 1000 times higher leaves rows at 1e-6 (the chord resolves
+        # angles below sqrt(eps), where the arccos of a dot product does not)
+        t = math.sqrt(d - 2) / 2 + 0.3 * (math.sqrt(d) - math.sqrt(d - 2)) / 2
+        diag = np.full(d, 1 / math.sqrt(d))
+        rng = rng_for(d)
+        a0 = np.vstack([_near_diagonal(rng, d, 8, angle) for angle in (1e-2, 1e-4, 1e-6)])
+        finals, _, converged, capped = _ascend(a0, t, _star_objective)
+        assert np.all(converged) and not np.any(capped)
+        assert np.all(2 * np.arcsin(np.linalg.norm(finals - diag, axis=1) / 2) < 1e-7)
 
 
 class TestDecayInequality:
