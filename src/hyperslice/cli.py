@@ -223,6 +223,7 @@ def cmd_maximize(args: argparse.Namespace) -> int:
         "converged_starts": rep.converged_starts,
         "infeasible_starts": rep.infeasible_starts,
         "capped_starts": rep.capped_starts,
+        "iterations": rep.iterations,
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK

@@ -8,21 +8,25 @@ the cap sum(a)/2 > t around it, all from one Philox stream, locates the
 maximizer, which in the shallow-cut radius regimes is the cube diagonal;
 ``closed_form_max`` gives its volume as one exact integer sum at any t.
 
-All starts ascend together, as one array, in one loop (``_ascend``); the
-regime only chooses its objective.  In the band t > sqrt(d-2)/2 the ball
-holds every square-face center, so no vertex of weight 2 lies below any
-cut and the volume has the O(d) star form of ``vertexsum.star_log_ratio``,
-evaluated in floats.  Below the band each row takes one exact grouped
-vertex walk.  Each row's line search starts from its spectral
-(Barzilai-Borwein) step, the inverse of the curvature along its last move;
-at the diagonal the Hessian is a multiple of the identity on the tangent
-space, so most starts converge within a dozen iterations.  A row stops as
-soon as no step it may take can change log V by more than log V's
-rounding, so rows already at the diagonal probe no more steps.  The
-ascent and the choice of the best start run on log V, which stays finite
-where V underflows a float.  The report's volume, multiplier and residual
-come from one exact walk at the chosen direction; its direction is a
-read-only copy of the chosen row.
+All starts ascend together, as one fixed array, in one loop (``_ascend``);
+the regime only chooses its objective, which gives value and gradient in
+one call.  In the band t > sqrt(d-2)/2 the ball holds every square-face
+center, so no vertex of weight 2 lies below any cut and the volume has the
+O(d) star form of ``vertexsum.star_log_ratio``, evaluated in floats.
+Below the band each row takes one exact grouped vertex walk.  An
+iteration makes one objective call, at every moving row's trial point,
+and a row that moves keeps that point's gradient for its next step; only
+rows whose trial step fails make more calls, in halving rounds.  Each
+row's line search starts from its spectral (Barzilai-Borwein) step, the
+inverse of the curvature along its last move; at the diagonal the Hessian
+is a multiple of the identity on the tangent space, so most starts
+converge within a dozen iterations.  A row stops as soon as no step it may
+take can change log V by more than log V's rounding, so rows already at
+the diagonal probe no more steps.  The ascent and the choice of the best
+start run on log V, which stays finite where V underflows a float.  The
+report's volume, multiplier and residual come from one exact walk at the
+chosen direction; its direction is a read-only copy of the chosen row,
+and it counts the ascent's iterations.
 """
 
 from __future__ import annotations
@@ -42,13 +46,13 @@ from .geometry import (
     integer_cut,
     vertex_terms,
 )
-from .vertexsum import _vertex_sum, star_log_ratio
+from .vertexsum import star_log_ratio
 
 MAX_ITERATIONS = 500
 INITIAL_STEP = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimizerReport:
     best_direction: np.ndarray
     best_volume: float
@@ -60,6 +64,7 @@ class OptimizerReport:
     converged_starts: int
     infeasible_starts: int
     capped_starts: int
+    iterations: int
 
 
 def closed_form_max(d: int, t: float) -> float:
@@ -184,119 +189,152 @@ def pair_condition_check(spec: SectionSpec) -> np.ndarray:
     return np.array(res)
 
 
-def _star_objective(a: np.ndarray, t: float, grad: bool = False):
-    """log W and, with ``grad``, its gradient for unit rows a in the band."""
-    return star_log_ratio(a, np.sum(a, axis=1) / 2.0 - t, grad)
+def _star_objective(a: np.ndarray, t: float):
+    """log W and its gradient for unit rows a in the band."""
+    return star_log_ratio(a, np.sum(a, axis=1) / 2.0 - t, grad=True)
 
 
-def _walk_objective(a: np.ndarray, t: float, grad: bool = False):
-    """log W and, with ``grad``, its gradient for rows a at any radius, from
-    one exact walk per row; -inf, without a walk, for rows with a
-    nonpositive coordinate or b <= 0."""
+def _walk_objective(a: np.ndarray, t: float):
+    """log W and its gradient for rows a at any radius, from one exact walk
+    per row; -inf, without a walk, for rows with a nonpositive (or NaN)
+    coordinate or b <= 0."""
     b = np.sum(a, axis=1) / 2.0 - t
     log_w = np.full(a.shape[0], -np.inf)
     g = np.zeros(a.shape)
     for r in np.flatnonzero(np.all(a > 0.0, axis=1) & (b > 0.0)):
-        if grad:
-            w, g_w = _ratio_gradient(a[r], float(b[r]))
-            g[r] = g_w / w
-        else:
-            w = _vertex_sum(a[r], float(b[r]), 0)[1]
+        w, g_w = _ratio_gradient(a[r], float(b[r]))
         if w > 0.0:
-            log_w[r] = math.log(w)
-    return (log_w, g) if grad else log_w
+            log_w[r], g[r] = math.log(w), g_w / w
+    return log_w, g
 
 
 def _ascend(a0: np.ndarray, t: float, objective):
     """Projected gradient ascent on the unit sphere from every row of a0 at
-    once; returns (rows, log values, converged flags, capped flags).
+    once; returns (rows, log values, converged flags, capped flags,
+    iterations), the last the passes of the loop: the iterations of the
+    row that ran longest, counting the one in which it stopped.
 
-    ``objective(a, t, grad)`` gives log V for unit rows a (-inf where V
-    vanishes) and, with ``grad``, its gradient.  The ascent direction is the
-    tangential gradient of log V rather than of V itself: the two are
-    parallel, but the log form makes the step size scale-free (V ranges
-    over many orders of magnitude across (d, t)), and log V stays finite
-    where V underflows a float.  Each row tries the spectral
-    (Barzilai-Borwein) step s.s / (-s.y) first, with s its last move and y
-    the change of its tangential gradient over that move: the inverse of
-    the curvature the row last saw.  At the diagonal the Riemannian Hessian
-    is a multiple of the identity on the tangent space (the symmetric group
-    acts irreducibly on sum(x) = 0), so that step soon matches it.  On the
+    ``objective(a, t)`` gives log V for unit rows a (-inf where V vanishes)
+    and its gradient, in one call.  The ascent direction is the tangential
+    gradient of log V rather than of V itself: the two are parallel, but
+    the log form makes the step size scale-free (V ranges over many orders
+    of magnitude across (d, t)), and log V stays finite where V underflows
+    a float.  Each row tries the spectral (Barzilai-Borwein) step
+    s.s / (-s.y) first, with s its last move and y the change of its
+    tangential gradient over that move: the inverse of the curvature the
+    row last saw.  At the diagonal the Riemannian Hessian is a multiple of
+    the identity on the tangent space (the symmetric group acts
+    irreducibly on sum(x) = 0), so that step soon matches it.  On the
     first iteration, and where -s.y <= 0 or the quotient is not finite, the
     row tries 0.1.  It halves its own trial step until the Armijo test
-    passes, and leaves the array once it converges: when no step it may
-    still take can change log V by more than log V's own rounding.  A step
-    is usable while its first-order gain step * ||grad||^2 is at least
+    passes, and stops once it converges: when no step it may still take can
+    change log V by more than log V's own rounding.  A step is usable while
+    its first-order gain step * ||grad||^2 is at least
     16 eps max(1, |log V|); a row whose trial step is not usable is flat,
     and one with no usable step that passes has converged.  Near the
     diagonal a float step gains less than an ulp of log V, so an Armijo
     pass there would be a rounding lottery.  A row still ascending after
     ``MAX_ITERATIONS`` is capped, and a row that starts at log V = -inf
     does not move.  The volume formulas are singular on the boundary
-    faces, so a step that leaves the open orthant fails and is halved.  A
-    line search probes in array calls, the k-th trying the next 2^k
-    halvings (1, 2, 4, ...) of the rows with no passing step yet; each row
-    takes the first step that passes, as backtracking would.
+    faces, so a step that leaves the open orthant fails and is halved.
+
+    Every row keeps its place in fixed (rows, d) arrays.  An iteration
+    makes one objective call, on every row's trial point; a row that is
+    not moving takes a NaN step, whose point fails every test (and which
+    the walk skips), and the rows that pass take their point's value and
+    gradient, so the next iteration needs no call of its own.  Only the
+    rows whose trial step fails go on to halving rounds, the k-th trying
+    the next 2^k halvings (2, 4, 8, ...) of the rows with no passing step
+    yet; each row takes the first step that passes, as backtracking would.
     """
     a = a0.copy()
-    log_v = objective(a, t)
+    log_v, g = objective(a, t)
+    live = np.isfinite(log_v)
     converged = np.zeros(a.shape[0], dtype=bool)
-    active = np.flatnonzero(np.isfinite(log_v))
+    # rows that start at -inf never move; a zero gradient keeps their
+    # arithmetic finite
+    g[~live] = 0.0
     # last iterate and tangential gradient per row; nan until the first move
     prev_a = np.full(a.shape, np.nan)
     prev_g = np.full(a.shape, np.nan)
-    for _ in range(MAX_ITERATIONS):
-        if active.size == 0:
-            break
-        _, g = objective(a[active], t, grad=True)
-        x = a[active]
-        tangent = g - np.sum(g * x, axis=1)[:, None] * x
-        gnorm = np.linalg.norm(tangent, axis=1)
-        s = x - prev_a[active]
-        curv = -np.sum(s * (tangent - prev_g[active]), axis=1)
+    iterations = 0
+    while iterations < MAX_ITERATIONS and live.any():
+        iterations += 1
+        tangent = g - (g * a).sum(axis=1)[:, None] * a
+        gain = (tangent * tangent).sum(axis=1)
+        s = a - prev_a
+        curv = -(s * (tangent - prev_g)).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            trial = np.sum(s * s, axis=1) / curv
+            trial = (s * s).sum(axis=1) / curv
         trial[~((curv > 0.0) & np.isfinite(trial))] = INITIAL_STEP
-        prev_a[active], prev_g[active] = x, tangent
+        prev_a, prev_g = a, tangent
         # a step's first-order gain step * ||grad||^2 below 16 ulps of log V
         # cannot be told from rounding
-        floor = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(log_v[active]))
-        flat = trial * gnorm**2 < floor
-        converged[active[flat]] = True
-        active, tangent = active[~flat], tangent[~flat]
-        gnorm, trial, floor = gnorm[~flat], trial[~flat], floor[~flat]
-        # steps[r, k] = trial[r] / 2^k while its gain stays above the row's floor
-        top = float(np.max(trial * gnorm**2 / floor, initial=0.0))
-        halvings = int(math.log2(top)) + 2 if top >= 1.0 else 1
-        steps = trial[:, None] * 0.5 ** np.arange(halvings)
-        usable = steps * gnorm[:, None] ** 2 >= floor[:, None]
-        chosen = np.full(active.size, -1)
-        ks = slice(0, 1)
-        while ks.start < halvings:
-            # usable is a prefix of each row, so a row left without a
-            # usable step here has none in later calls either
-            rows = np.flatnonzero((chosen < 0) & usable[:, ks].any(axis=1))
-            if rows.size == 0:
-                break
-            step = steps[rows, ks]
-            cand = a[active[rows], None, :] + step[:, :, None] * tangent[rows, None, :]
-            ok = usable[rows, ks] & np.all(cand > 0.0, axis=2)
-            cand /= np.linalg.norm(cand, axis=2)[:, :, None]
-            log_c = np.full(ok.shape, -np.inf)
-            log_c[ok] = objective(cand[ok], t)
-            win = ok & (log_c > log_v[active[rows], None] + 1e-4 * step * gnorm[rows, None] ** 2)
-            hit = win.any(axis=1)
-            first = np.argmax(win, axis=1)
-            won = rows[hit]
-            chosen[won] = first[hit] + ks.start
-            a[active[won]] = cand[hit, first[hit]]
-            log_v[active[won]] = log_c[hit, first[hit]]
-            ks = slice(ks.stop, 2 * ks.stop + 1)
-        converged[active[chosen < 0]] = True
-        active = active[chosen >= 0]
-    capped = np.zeros(a.shape[0], dtype=bool)
-    capped[active] = True
-    return a, log_v, converged, capped
+        floor = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(log_v))
+        flat = live & (trial * gain < floor)
+        converged |= flat
+        live &= ~flat
+        if not live.any():
+            break
+        step = np.where(live, trial, np.nan)
+        cand, log_c, g_c, win = _probe(a, step, tangent, log_v, gain, t, objective)
+        # new arrays, so prev_a keeps this iteration's rows while _halve
+        # writes into a
+        a = np.where(win[:, None], cand, a)
+        log_v = np.where(win, log_c, log_v)
+        g = np.where(win[:, None], g_c, g)
+        retry = np.flatnonzero(live & ~win)
+        if retry.size:
+            lost = retry[~_halve(a, log_v, g, t, objective, retry, tangent[retry],
+                                 trial[retry], gain[retry], floor[retry])]
+            converged[lost] = True
+            live[lost] = False
+    return a, log_v, converged, live, iterations
+
+
+def _halve(a, log_v, g, t, objective, rows, tangent, trial, gain, floor):
+    """Halving rounds for the given rows of a, whose trial step failed:
+    steps trial / 2^k, k >= 1, while their gain stays above the row's
+    floor.  A row that passes takes its first passing point, value and
+    gradient in place in a, log_v and g.  Returns the rows' found flags."""
+    # trial * gain >= floor on every row here, so each has a usable k = 0
+    halvings = int(math.log2(float(np.max(trial * gain / floor)))) + 2
+    steps = trial[:, None] * 0.5 ** np.arange(halvings)
+    steps[steps * gain[:, None] < floor[:, None]] = np.nan
+    found = np.zeros(rows.size, dtype=bool)
+    ks = slice(1, 3)
+    while ks.start < halvings:
+        # the usable steps are a prefix of each row, so a row left without
+        # one here has none in later rounds either
+        sub = np.flatnonzero(~found & np.isfinite(steps[:, ks]).any(axis=1))
+        if sub.size == 0:
+            break
+        step = steps[sub, ks]
+        cand, log_c, g_c, win = _probe(a[rows[sub], None], step, tangent[sub, None],
+                                       log_v[rows[sub], None], gain[sub, None], t, objective)
+        hit = win.any(axis=1)
+        first = np.argmax(win, axis=1)[hit]
+        won = rows[sub[hit]]
+        a[won] = cand[hit, first]
+        log_v[won] = log_c[hit, first]
+        g[won] = g_c[hit, first]
+        found[sub[hit]] = True
+        ks = slice(ks.stop, 2 * ks.stop + 1)
+    return found
+
+
+def _probe(a, step, tangent, log_v, gain, t, objective):
+    """The points a + step * tangent, back on the sphere, with their log V
+    and gradient from one objective call, and which of them pass: those in
+    the open orthant that gain at least 1e-4 of the first-order gain
+    step * gain (Armijo).  One point per entry of step; a and tangent
+    broadcast against step[..., None], and log_v and gain against step."""
+    cand = a + step[..., None] * tangent
+    ok = (cand > 0.0).all(axis=-1)
+    cand /= np.linalg.norm(cand, axis=-1)[..., None]
+    log_c, g_c = objective(cand.reshape(-1, cand.shape[-1]), t)
+    log_c = log_c.reshape(ok.shape)
+    return cand, log_c, g_c.reshape(cand.shape), ok & (log_c > log_v + 1e-4 * step * gain)
 
 
 def _draw_starts(d: int, t: float, seed: int, count: int) -> np.ndarray:
@@ -331,6 +369,8 @@ def maximize_section_volume(
     the star form (``_star_objective``) and below it on the exact walk
     (``_walk_objective``).  Start i depends on (d, t, seed, i) alone, and
     the best is selected in start order, so reports are reproducible.
+    ``iterations`` is the number of ascent iterations the slowest start
+    took, 0 when t >= sqrt(d)/2 and no start runs.
     """
     if d < 2:
         raise InvalidInputError("d must be at least 2")
@@ -347,7 +387,7 @@ def maximize_section_volume(
             best_direction=diag, best_volume=0.0, diagonal_volume=0.0,
             angle_to_diagonal=0.0, multiplier=0.0, residual_norm=0.0,
             starts=starts, converged_starts=0, infeasible_starts=0,
-            capped_starts=0,
+            capped_starts=0, iterations=0,
         )
     # refused before closed_form_max, whose exact sum is slow for deep cuts
     if not t > 0.5:
@@ -359,14 +399,15 @@ def maximize_section_volume(
 
     a0 = np.vstack([diag, _draw_starts(d, t, seed, starts - 1)])
     objective = _star_objective if t > math.sqrt(d - 2) / 2.0 else _walk_objective
-    finals, log_values, conv, capped = _ascend(a0, t, objective)
+    finals, log_values, conv, capped, iterations = _ascend(a0, t, objective)
 
     # the first start with the largest value, as in start order; log V is
     # finite where the volume is positive but underflows a float
     best = int(np.argmax(log_values))
     n_conv, n_capped = int(np.count_nonzero(conv)), int(np.count_nonzero(capped))
     common = dict(diagonal_volume=closed, starts=starts, converged_starts=n_conv,
-                  infeasible_starts=starts - n_conv - n_capped, capped_starts=n_capped)
+                  infeasible_starts=starts - n_conv - n_capped, capped_starts=n_capped,
+                  iterations=iterations)
     if log_values[best] == -np.inf:
         return OptimizerReport(
             best_direction=diag, best_volume=0.0, angle_to_diagonal=0.0,

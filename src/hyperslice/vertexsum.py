@@ -100,35 +100,41 @@ def star_log_ratio(a, b, grad: bool = False):
     W is the section volume over ||a||.  With x_i = a_i / b, p_i =
     (1 - x_i)^(n-1) and q_i = (1 - x_i)^(n-2) on the cut coordinates (0
     elsewhere), S = b^(n-1) (1 - sum p), taken as -expm1 of the largest
-    log p less the other p, so a tiny cut coordinate keeps its digits.
-    As b = sum(a)/2 - t moves by 1/2 with each a_j,
+    log p less the other p, so a tiny cut coordinate keeps its digits; 1 -
+    sum q is taken the same way.  As b = sum(a)/2 - t moves by 1/2 with
+    each a_j,
     d log W / d a_j = (n-1) ((1 - sum q)/2 + q_j) / (b (1 - sum p)) - 1/a_j.
     Rows with b <= 0 give log W = -inf.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     n = a.shape[1]
+    cap = b > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         # log(1 - x_i), -inf where a_i >= b and on rows with b <= 0
-        x = np.divide(a, b[:, None], out=np.ones(a.shape), where=b[:, None] > 0.0)
+        x = np.divide(a, b[:, None], out=np.ones(a.shape), where=cap[:, None])
         log_1mx = np.log1p(-np.minimum(x, 1.0))
-        log_p = (n - 1) * log_1mx
-        rest_p = _one_minus_sum_exp(log_p)
+        top = log_1mx.max(axis=1)
+        rest_p = _one_minus_sum_exp((n - 1) * log_1mx, (n - 1) * top)[0]
         log_w = ((n - 1) * np.log(b) + np.log(rest_p)
-                 - math.lgamma(n) - np.sum(np.log(a), axis=1))
-        log_w[~((b > 0.0) & (rest_p > 0.0))] = -np.inf
+                 - math.lgamma(n) - np.log(a).sum(axis=1))
+        log_w[~(cap & (rest_p > 0.0))] = -np.inf
         if not grad:
             return log_w
-        log_q = (n - 2) * log_1mx if n > 2 else np.where(log_p > -np.inf, 0.0, -np.inf)
-        q = np.exp(log_q)
+        if n > 2:
+            rest_q, q = _one_minus_sum_exp((n - 2) * log_1mx, (n - 2) * top)
+        else:  # q_i = (1 - x_i)^0: 1 on the cut coordinates, 0 elsewhere
+            q = (log_1mx > -np.inf).astype(float)
+            rest_q = 1.0 - q.sum(axis=1)
         coef = (n - 1) / (b * rest_p)
-        return log_w, coef[:, None] * (0.5 * _one_minus_sum_exp(log_q)[:, None] + q) - 1.0 / a
+        return log_w, coef[:, None] * (0.5 * rest_q[:, None] + q) - 1.0 / a
 
 
-def _one_minus_sum_exp(logs):
-    """1 - sum_i exp(logs_i) per row, as -expm1 of the largest less the rest."""
-    top = np.max(logs, axis=1)
-    return -np.expm1(top) - (np.sum(np.exp(logs), axis=1) - np.exp(top))
+def _one_minus_sum_exp(logs, top):
+    """(1 - sum_i exp(logs_i), exp(logs)) per row, the first as -expm1 of
+    the largest log, ``top``, less the other terms."""
+    terms = np.exp(logs)
+    return -np.expm1(top) - (terms.sum(axis=1) - np.exp(top)), terms
 
 
 def star_volume(spec: SectionSpec) -> float:

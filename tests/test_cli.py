@@ -5,7 +5,7 @@ import pytest
 
 from hyperslice.cli import main
 from hyperslice.geometry import make_section_spec
-from hyperslice.maximizer import closed_form_max
+from hyperslice.maximizer import closed_form_max, maximize_section_volume
 from hyperslice.vertexsum import section_volume_vertex_sum
 
 
@@ -119,6 +119,7 @@ class TestMaximizeCommand:
                                "--starts", "4")
         assert code == 0
         assert json.loads(out)["best_volume"] == 0.0
+        assert json.loads(out)["iterations"] == 0
 
     def test_too_small_radius_is_invalid(self, capsys):
         code, _, _ = run_cli(capsys, "maximize", "--d", "5", "--t", "0.3")
@@ -132,6 +133,8 @@ class TestMaximizeCommand:
         assert payload["infeasible_starts"] == 0
         assert payload["converged_starts"] == 64
         assert payload["capped_starts"] == 0
+        rep = maximize_section_volume(7, 1.304, starts=64, seed=0)
+        assert payload["iterations"] == rep.iterations >= 1
 
 
 class TestCertifyCommand:

@@ -226,11 +226,13 @@ class TestMaximize:
         assert np.array_equal(r1.best_direction, r2.best_direction)
 
     def test_report_owns_a_read_only_direction(self):
-        # a view of the ascent's rows would keep all of them alive
+        # a view of the ascent's rows would keep all of them alive, and a
+        # per-instance dict would add to every report a caller keeps
         for t in (1.0, 1.2):
-            direction = maximize_section_volume(5, t, starts=8, seed=0).best_direction
-            assert direction.base is None
-            assert not direction.flags.writeable
+            rep = maximize_section_volume(5, t, starts=8, seed=0)
+            assert rep.best_direction.base is None
+            assert not rep.best_direction.flags.writeable
+            assert not hasattr(rep, "__dict__")
 
     def test_small_radius_refused_before_any_work(self):
         # the exact diagonal sum at d = 1000, t = 0.3 takes tens of seconds
@@ -316,7 +318,7 @@ class TestBatchedStar:
         a0 = 1.0 + 0.05 * rng.standard_normal((16, d))
         a0 /= np.linalg.norm(a0, axis=1)[:, None]
         assert np.all(np.sum(a0, axis=1) / 2 > t)
-        finals, log_values, converged, capped = _ascend(a0, t, _star_objective)
+        finals, log_values, converged, capped, _ = _ascend(a0, t, _star_objective)
         diag = np.full(d, 1 / math.sqrt(d))
         closed = closed_form_max(d, t)
         assert np.all(converged) and not np.any(capped)
@@ -327,9 +329,9 @@ class TestBatchedStar:
         # below t = sqrt(d-2)/2 vertices of weight 2 lie below some cuts
         calls = []
         for name in ("_star_objective", "_walk_objective"):
-            def counted(a, t, grad=False, name=name, real=getattr(maximizer, name)):
+            def counted(a, t, name=name, real=getattr(maximizer, name)):
                 calls.append(name)
-                return real(a, t, grad)
+                return real(a, t)
 
             monkeypatch.setattr(maximizer, name, counted)
         edge = math.sqrt(5) / 2
@@ -424,17 +426,19 @@ class TestSpectralStep:
         (7, float(np.linspace(math.sqrt(5) / 2, math.sqrt(7) / 2, 12)[3])),
     ])
     def test_few_gradient_calls(self, monkeypatch, d, t):
-        # the fixed 0.1 trial step took 234 (d = 4) and 398 (d = 7)
-        grads = []
+        # every call gives value and gradient; 8 at both (d, t), where the
+        # fixed 0.1 trial step took 234 (d = 4) and 398 (d = 7) gradient
+        # calls alone
+        calls = []
         real = maximizer._star_objective
 
-        def counted(a, t, grad=False):
-            grads.append(grad)
-            return real(a, t, grad)
+        def counted(a, t):
+            calls.append(a.shape[0])
+            return real(a, t)
 
         monkeypatch.setattr(maximizer, "_star_objective", counted)
         rep = maximize_section_volume(d, t, starts=64, seed=0)
-        assert sum(grads) <= 30
+        assert len(calls) <= 10
         assert rep.angle_to_diagonal < 1e-4
         assert rep.converged_starts + rep.infeasible_starts == 64
 
@@ -451,13 +455,14 @@ def _near_diagonal(rng, d, rows, angle):
 
 class TestStoppingRule:
     def test_objective_call_budget(self, monkeypatch):
-        # the acceptance 02/03 grid at seed 0 takes 731 value and gradient
-        # calls; halving every row down to step * ||grad|| = 1e-12 took 1443
+        # the acceptance 02/03 grid at seed 0 takes 400 fused value and
+        # gradient calls; separate value and gradient calls took 731, and
+        # halving every row down to step * ||grad|| = 1e-12 took 1443
         calls = []
         for name in ("_star_objective", "_walk_objective"):
-            def counted(a, t, grad=False, real=getattr(maximizer, name)):
-                calls.append(grad)
-                return real(a, t, grad)
+            def counted(a, t, real=getattr(maximizer, name)):
+                calls.append(a.shape[0])
+                return real(a, t)
 
             monkeypatch.setattr(maximizer, name, counted)
         for d in (3, 4, 5, 6, 7):
@@ -465,21 +470,67 @@ class TestStoppingRule:
             for t in np.linspace(lo, hi, 12)[1:-1]:
                 rep = maximize_section_volume(d, float(t), starts=64, seed=0)
                 assert rep.converged_starts == 64, (d, t)
-        assert len(calls) <= 800
+        assert len(calls) <= 440
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_grid_takes_one_call_per_iteration(self, monkeypatch, seed):
+        # the acceptance 02/03 grid: every start converges within 8 (seed 7)
+        # and 9 (seed 11) iterations.  Besides the halving rounds of rows
+        # whose trial step fails, the ascent makes one fused call at the
+        # starts and one in every iteration but the last, which may find
+        # every row flat
+        calls, halving = [], []
+        real_star, real_halve = maximizer._star_objective, maximizer._halve
+
+        def counted(a, t):
+            calls.append(a.shape[0])
+            return real_star(a, t)
+
+        def halve(*args):
+            before = len(calls)
+            found = real_halve(*args)
+            halving.append(len(calls) - before)
+            return found
+
+        monkeypatch.setattr(maximizer, "_star_objective", counted)
+        monkeypatch.setattr(maximizer, "_halve", halve)
+        for d in (3, 4, 5, 6, 7):
+            lo, hi = math.sqrt(d - (1 if d < 5 else 2)) / 2, math.sqrt(d) / 2
+            for t in np.linspace(lo, hi, 12)[1:-1]:
+                calls.clear()
+                halving.clear()
+                rep = maximize_section_volume(d, float(t), starts=64, seed=seed)
+                assert rep.converged_starts == 64, (d, t)
+                assert 1 <= rep.iterations <= 10, (d, t)
+                assert len(calls) - sum(halving) in (rep.iterations, rep.iterations + 1)
+
+    @pytest.mark.parametrize("d, t, iterations", [
+        (7, 1 + 0.75 * (math.sqrt(5) / 2 - 1), 7),
+        (12, 0.75, 14),
+    ], ids=["7", "12"])
+    def test_below_band_counts(self, d, t, iterations):
+        # below the band, on the walk objective: every start converges, in 6
+        # (d = 7) and 13 (d = 12) iterations
+        rep = maximize_section_volume(d, t, starts=16, seed=0)
+        assert (rep.converged_starts, rep.capped_starts, rep.infeasible_starts) == (16, 0, 0)
+        assert rep.iterations <= iterations
+        assert rep.angle_to_diagonal < 1e-4
 
     @pytest.mark.parametrize("d, t", [(5, 1.003), (7, 1.2)])
     def test_rows_at_the_diagonal_stop_at_once(self, d, t):
         # no step from within 1e-9 of the diagonal can change log V by
-        # more than its rounding, so no row probes a step
+        # more than its rounding, so no row probes a step: the one call is
+        # the value and gradient at the starts
         calls = []
 
-        def counted(a, t, grad=False):
-            calls.append(grad)
-            return _star_objective(a, t, grad)
+        def counted(a, t):
+            calls.append(a.shape[0])
+            return _star_objective(a, t)
 
         a0 = _near_diagonal(rng_for(d), d, 8, 1e-9)
-        finals, _, converged, capped = _ascend(a0, t, counted)
-        assert calls == [False, True]
+        finals, _, converged, capped, iterations = _ascend(a0, t, counted)
+        assert calls == [8]
+        assert iterations == 1
         assert np.all(converged) and not np.any(capped)
         assert np.array_equal(finals, a0)
 
@@ -493,7 +544,7 @@ class TestStoppingRule:
         diag = np.full(d, 1 / math.sqrt(d))
         rng = rng_for(d)
         a0 = np.vstack([_near_diagonal(rng, d, 8, angle) for angle in (1e-2, 1e-4, 1e-6)])
-        finals, _, converged, capped = _ascend(a0, t, _star_objective)
+        finals, _, converged, capped, _ = _ascend(a0, t, _star_objective)
         assert np.all(converged) and not np.any(capped)
         assert np.all(2 * np.arcsin(np.linalg.norm(finals - diag, axis=1) / 2) < 1e-7)
 
