@@ -170,7 +170,7 @@ def sign_certificates(d: int, y_grid) -> CertificateReport:
     y_grid = np.asarray(y_grid, dtype=float)
     if y_grid.size == 0:
         raise InvalidInputError("y grid must be nonempty")
-    if np.any((y_grid <= 0.0) | (y_grid >= 1.0)):
+    if not np.all((y_grid > 0.0) & (y_grid < 1.0)):
         raise InvalidInputError("y grid must lie strictly inside (0, 1)")
     maxima = [float(v.max()) for v in _values(d, tuple(_CLAIMS.values()), y_grid)]
     return CertificateReport(d, int(y_grid.size), *maxima, all(m < 0.0 for m in maxima))
@@ -207,6 +207,8 @@ def certify_signs_rigorous(d: int):
     Returns {claim: bool}; a claim is only certified when every box is
     certified within MAX_BOXES boxes.
     """
+    if d < 2:
+        raise InvalidInputError("d must be at least 2")
     polys = _s_expansions(d, tuple(_CLAIMS.values()))
     return {name: _certify_negative(poly) for name, poly in zip(_CLAIMS, polys)}
 

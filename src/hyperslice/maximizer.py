@@ -13,20 +13,16 @@ the regime only chooses its objective, which gives value and gradient in
 one call.  In the band t > sqrt(d-2)/2 the ball holds every square-face
 center, so no vertex of weight 2 lies below any cut and the volume has the
 O(d) star form of ``vertexsum.star_log_ratio``, evaluated in floats.
-Below the band each row takes one exact grouped vertex walk.  An
-iteration makes one objective call, at every moving row's trial point,
-and a row that moves keeps that point's gradient for its next step; only
-rows whose trial step fails make more calls, in halving rounds.  Each
-row's line search starts from its spectral (Barzilai-Borwein) step, the
-inverse of the curvature along its last move; at the diagonal the Hessian
-is a multiple of the identity on the tangent space, so most starts
-converge within a dozen iterations.  A row stops as soon as no step it may
-take can change log V by more than log V's rounding, so rows already at
-the diagonal probe no more steps.  The ascent and the choice of the best
-start run on log V, which stays finite where V underflows a float.  The
-report's volume, multiplier and residual come from one exact walk at the
-chosen direction; its direction is a read-only copy of the chosen row,
-and it counts the ascent's iterations.
+Below the band each row takes one exact grouped vertex walk.  Each pass
+of the loop makes one objective call, at every moving row's trial point,
+and backtracks: a row whose point passes moves there and tries its
+spectral (Barzilai-Borwein) step next, and one whose point fails halves
+its step.  A row stops once no step it may take can change log V by more
+than log V's rounding, so rows already at the diagonal probe no steps.
+The ascent and the choice of the best start run on log V, which stays
+finite where V underflows a float.  The report's volume, multiplier and
+residual come from one exact walk at the chosen direction; its direction
+is a read-only copy of the chosen row.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from .geometry import (
 from .vertexsum import star_log_ratio
 
 MAX_ITERATIONS = 500
-INITIAL_STEP = 0.1
+INITIAL_STEP = 0.25
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,130 +207,85 @@ def _walk_objective(a: np.ndarray, t: float):
 def _ascend(a0: np.ndarray, t: float, objective):
     """Projected gradient ascent on the unit sphere from every row of a0 at
     once; returns (rows, log values, converged flags, capped flags,
-    iterations), the last the passes of the loop: the iterations of the
-    row that ran longest, counting the one in which it stopped.
+    iterations), the last the points at which the slowest row took a new
+    step, counting the one at which it stopped.
 
     ``objective(a, t)`` gives log V for unit rows a (-inf where V vanishes)
     and its gradient, in one call.  The ascent direction is the tangential
     gradient of log V rather than of V itself: the two are parallel, but
     the log form makes the step size scale-free (V ranges over many orders
     of magnitude across (d, t)), and log V stays finite where V underflows
-    a float.  Each row tries the spectral (Barzilai-Borwein) step
-    s.s / (-s.y) first, with s its last move and y the change of its
-    tangential gradient over that move: the inverse of the curvature the
-    row last saw.  At the diagonal the Riemannian Hessian is a multiple of
-    the identity on the tangent space (the symmetric group acts
-    irreducibly on sum(x) = 0), so that step soon matches it.  On the
-    first iteration, and where -s.y <= 0 or the quotient is not finite, the
-    row tries 0.1.  It halves its own trial step until the Armijo test
-    passes, and stops once it converges: when no step it may still take can
-    change log V by more than log V's own rounding.  A step is usable while
-    its first-order gain step * ||grad||^2 is at least
-    16 eps max(1, |log V|); a row whose trial step is not usable is flat,
-    and one with no usable step that passes has converged.  Near the
-    diagonal a float step gains less than an ulp of log V, so an Armijo
-    pass there would be a rounding lottery.  A row still ascending after
-    ``MAX_ITERATIONS`` is capped, and a row that starts at log V = -inf
-    does not move.  The volume formulas are singular on the boundary
-    faces, so a step that leaves the open orthant fails and is halved.
+    a float.  At each new point a row tries the spectral (Barzilai-Borwein)
+    step s.s / (-s.y), with s its last move and y the change of its
+    tangential gradient over that move.  At the diagonal the Riemannian
+    Hessian is a multiple of the identity on the tangent space (the
+    symmetric group acts irreducibly on sum(x) = 0), so that step soon
+    matches it.  At the start, and where -s.y <= 0 or the quotient is not
+    finite, it tries INITIAL_STEP / max(1, ||grad||), a chord of at most
+    INITIAL_STEP.
 
-    Every row keeps its place in fixed (rows, d) arrays.  An iteration
-    makes one objective call, on every row's trial point; a row that is
-    not moving takes a NaN step, whose point fails every test (and which
-    the walk skips), and the rows that pass take their point's value and
-    gradient, so the next iteration needs no call of its own.  Only the
-    rows whose trial step fails go on to halving rounds, the k-th trying
-    the next 2^k halvings (2, 4, 8, ...) of the rows with no passing step
-    yet; each row takes the first step that passes, as backtracking would.
+    Each pass of the loop makes one objective call, at every moving row's
+    trial point; a finished row takes a NaN step, whose point fails every
+    test (and which the walk skips).  A point passes if it lies in the open
+    orthant, where the volume formulas are not singular, and gains at least
+    1e-4 of its first-order gain step * ||grad||^2 (Armijo).  A row moves
+    to a passing point and keeps its value and gradient; a row whose point
+    fails halves its step for the next pass (backtracking, Nocedal & Wright,
+    Alg. 3.1).  A row converges once that gain is below
+    16 eps max(1, |log V|): near the diagonal a float step gains less than
+    an ulp of log V, so an Armijo pass there would be a rounding lottery.
+    A row still ascending after ``MAX_ITERATIONS`` iterations is capped,
+    and a row that starts at log V = -inf does not move.
     """
     a = a0.copy()
     log_v, g = objective(a, t)
     live = np.isfinite(log_v)
     converged = np.zeros(a.shape[0], dtype=bool)
+    capped = np.zeros(a.shape[0], dtype=bool)
     # rows that start at -inf never move; a zero gradient keeps their
     # arithmetic finite
     g[~live] = 0.0
-    # last iterate and tangential gradient per row; nan until the first move
+    # rows at a new point, each row's iterations and trial step, and its
+    # last point and tangential gradient (nan until the first move)
+    fresh = live.copy()
+    iterations = np.zeros(a.shape[0], dtype=int)
+    step = np.zeros(a.shape[0])
     prev_a = np.full(a.shape, np.nan)
     prev_g = np.full(a.shape, np.nan)
-    iterations = 0
-    while iterations < MAX_ITERATIONS and live.any():
-        iterations += 1
+    while live.any():
         tangent = g - (g * a).sum(axis=1)[:, None] * a
         gain = (tangent * tangent).sum(axis=1)
         s = a - prev_a
         curv = -(s * (tangent - prev_g)).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            trial = (s * s).sum(axis=1) / curv
-        trial[~((curv > 0.0) & np.isfinite(trial))] = INITIAL_STEP
-        prev_a, prev_g = a, tangent
+            spectral = (s * s).sum(axis=1) / curv
+        first = INITIAL_STEP / np.maximum(1.0, np.sqrt(gain))
+        spectral = np.where((curv > 0.0) & np.isfinite(spectral), spectral, first)
+        # a row at a new point tries a new step; a failed trial, half its last
+        step = np.where(fresh, spectral, 0.5 * step)
+        prev_a = np.where(fresh[:, None], a, prev_a)
+        prev_g = np.where(fresh[:, None], tangent, prev_g)
+        iterations += fresh
         # a step's first-order gain step * ||grad||^2 below 16 ulps of log V
         # cannot be told from rounding
         floor = 16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(log_v))
-        flat = live & (trial * gain < floor)
+        flat = live & (step * gain < floor)
         converged |= flat
         live &= ~flat
         if not live.any():
             break
-        step = np.where(live, trial, np.nan)
-        cand, log_c, g_c, win = _probe(a, step, tangent, log_v, gain, t, objective)
-        # new arrays, so prev_a keeps this iteration's rows while _halve
-        # writes into a
-        a = np.where(win[:, None], cand, a)
-        log_v = np.where(win, log_c, log_v)
-        g = np.where(win[:, None], g_c, g)
-        retry = np.flatnonzero(live & ~win)
-        if retry.size:
-            lost = retry[~_halve(a, log_v, g, t, objective, retry, tangent[retry],
-                                 trial[retry], gain[retry], floor[retry])]
-            converged[lost] = True
-            live[lost] = False
-    return a, log_v, converged, live, iterations
-
-
-def _halve(a, log_v, g, t, objective, rows, tangent, trial, gain, floor):
-    """Halving rounds for the given rows of a, whose trial step failed:
-    steps trial / 2^k, k >= 1, while their gain stays above the row's
-    floor.  A row that passes takes its first passing point, value and
-    gradient in place in a, log_v and g.  Returns the rows' found flags."""
-    # trial * gain >= floor on every row here, so each has a usable k = 0
-    halvings = int(math.log2(float(np.max(trial * gain / floor)))) + 2
-    steps = trial[:, None] * 0.5 ** np.arange(halvings)
-    steps[steps * gain[:, None] < floor[:, None]] = np.nan
-    found = np.zeros(rows.size, dtype=bool)
-    ks = slice(1, 3)
-    while ks.start < halvings:
-        # the usable steps are a prefix of each row, so a row left without
-        # one here has none in later rounds either
-        sub = np.flatnonzero(~found & np.isfinite(steps[:, ks]).any(axis=1))
-        if sub.size == 0:
-            break
-        step = steps[sub, ks]
-        cand, log_c, g_c, win = _probe(a[rows[sub], None], step, tangent[sub, None],
-                                       log_v[rows[sub], None], gain[sub, None], t, objective)
-        hit = win.any(axis=1)
-        first = np.argmax(win, axis=1)[hit]
-        won = rows[sub[hit]]
-        a[won] = cand[hit, first]
-        log_v[won] = log_c[hit, first]
-        g[won] = g_c[hit, first]
-        found[sub[hit]] = True
-        ks = slice(ks.stop, 2 * ks.stop + 1)
-    return found
-
-
-def _probe(a, step, tangent, log_v, gain, t, objective):
-    """The points a + step * tangent, back on the sphere, with their log V
-    and gradient from one objective call, and which of them pass: those in
-    the open orthant that gain at least 1e-4 of the first-order gain
-    step * gain (Armijo).  One point per entry of step; a and tangent
-    broadcast against step[..., None], and log_v and gain against step."""
-    cand = a + step[..., None] * tangent
-    ok = (cand > 0.0).all(axis=-1)
-    cand /= np.linalg.norm(cand, axis=-1)[..., None]
-    log_c, g_c = objective(cand.reshape(-1, cand.shape[-1]), t)
-    log_c = log_c.reshape(ok.shape)
-    return cand, log_c, g_c.reshape(cand.shape), ok & (log_c > log_v + 1e-4 * step * gain)
+        cand = a + np.where(live, step, np.nan)[:, None] * tangent
+        inside = (cand > 0.0).all(axis=1)
+        cand /= np.linalg.norm(cand, axis=1)[:, None]
+        log_c, g_c = objective(cand, t)
+        fresh = inside & (log_c > log_v + 1e-4 * step * gain)
+        a = np.where(fresh[:, None], cand, a)
+        log_v = np.where(fresh, log_c, log_v)
+        g = np.where(fresh[:, None], g_c, g)
+        capped |= fresh & (iterations == MAX_ITERATIONS)
+        live &= ~capped
+        fresh &= live
+    return a, log_v, converged, capped, int(iterations.max())
 
 
 def _draw_starts(d: int, t: float, seed: int, count: int) -> np.ndarray:

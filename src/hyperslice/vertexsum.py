@@ -165,8 +165,8 @@ def section_from_halfspace_derivative(spec: SectionSpec, h: float) -> float:
     Requires that no vertex changes side across [t-h, t+h]; otherwise the
     half-space volume has a kink there and the quotient is meaningless.
     """
-    if not h > 0.0:
-        raise InvalidInputError("step h must be positive")
+    if not 0.0 < h < math.inf:
+        raise InvalidInputError("step h must be positive and finite")
     a = spec.direction
     norm = float(np.linalg.norm(a))
     b_lo = spec.offset - h * norm  # radius t + h

@@ -139,6 +139,15 @@ class TestSignCertificates:
         with pytest.raises(InvalidInputError):
             sign_certificates(6, [0.0, 0.5])
 
+    @pytest.mark.parametrize("y", [math.nan, -math.inf, math.inf])
+    def test_non_finite_grid_rejected(self, y):
+        # NaN fails both y <= 0 and y >= 1, so only a test for points
+        # strictly inside (0, 1) refuses it
+        with pytest.raises(InvalidInputError, match="strictly inside"):
+            sign_certificates(4, [y])
+        with pytest.raises(InvalidInputError, match="strictly inside"):
+            sign_certificates(6, [0.5, y])
+
     def test_grid_matches_pointwise_coeffs(self):
         # vectorized grid values agree with scalar coefficient combinations
         grid = np.linspace(0.05, 0.95, 19)
@@ -158,6 +167,14 @@ class TestRigorousCertification:
     @pytest.mark.parametrize("d", range(6, 13))
     def test_certifies_claimed_dimensions(self, d):
         assert all(certify_signs_rigorous(d).values())
+
+    @pytest.mark.parametrize("d", [1, 0, -2])
+    def test_small_dimension_rejected(self, d):
+        # the same refusal as quad_coeffs and sign_certificates
+        with pytest.raises(InvalidInputError, match="d must be at least 2"):
+            certify_signs_rigorous(d)
+        with pytest.raises(InvalidInputError, match="d must be at least 2"):
+            sign_certificates(d, [0.5])
 
     def test_d5_exceptional_branch_not_certified(self):
         out = certify_signs_rigorous(5)

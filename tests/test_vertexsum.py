@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import irwinhall
 
-from hyperslice.errors import CellCrossingError, RegimeError
+from hyperslice.errors import CellCrossingError, InvalidInputError, RegimeError
 from hyperslice.geometry import (
     ZERO_COORD_TOL,
     SectionSpec,
@@ -367,6 +367,11 @@ class TestHalfspaceDerivative:
         spec = make_section_spec(a, float(np.sum(a)) / 2 - b_at_vertex)
         with pytest.raises(CellCrossingError):
             section_from_halfspace_derivative(spec, 1e-6)
+
+    @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1e-6])
+    def test_step_must_be_positive_and_finite(self, h):
+        with pytest.raises(InvalidInputError, match="step h"):
+            section_from_halfspace_derivative(diagonal_section_spec(4, 0.9), h)
 
     def test_second_order_accuracy(self):
         rng = rng_for(51)
