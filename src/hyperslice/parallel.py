@@ -1,10 +1,12 @@
 """Worker-pool sizing and the one pool for the Monte Carlo batches.
 
 The HYPERSLICE_THREADS environment variable bounds parallelism; when unset,
-a small pool sized to the machine is used.  The batches' NumPy kernels
-release the interpreter lock, so threads help there; the results are
-reduced as exact integer counts in a fixed order, so thread scheduling
-never changes an output bit.
+a small pool sized to the machine is used.  A value above _MAX_THREADS is
+refused before any pool exists: ordered_map submits every batch at once,
+and the pool starts one thread per submission up to its size.  The
+batches' NumPy kernels release the interpreter lock, so threads help there;
+the results are reduced as exact integer counts in a fixed order, so
+thread scheduling never changes an output bit.
 
 The pool lives for the whole process.  It is built on the first call that
 runs threaded (importing this module starts no thread) and rebuilt only
@@ -24,11 +26,12 @@ from .errors import InvalidInputError
 _lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
 _pool_threads = 0
+_MAX_THREADS = 256
 
 
 def worker_count() -> int:
-    """Threads for ordered_map: HYPERSLICE_THREADS, a positive integer,
-    or min(4, cpu count) when it is unset."""
+    """Threads for ordered_map: HYPERSLICE_THREADS, an integer from 1 to
+    _MAX_THREADS, or min(4, cpu count) when it is unset."""
     raw = os.environ.get("HYPERSLICE_THREADS")
     if raw is None:
         return min(4, os.cpu_count() or 1)
@@ -36,8 +39,9 @@ def worker_count() -> int:
         threads = int(raw)
     except ValueError:
         threads = 0
-    if threads < 1:
-        raise InvalidInputError(f"HYPERSLICE_THREADS must be a positive integer, got {raw!r}")
+    if not 1 <= threads <= _MAX_THREADS:
+        raise InvalidInputError(
+            f"HYPERSLICE_THREADS must be an integer from 1 to {_MAX_THREADS}, got {raw!r}")
     return threads
 
 

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,6 +37,34 @@ def _reference_hits(coef, lo, hi, seed, n):
         hits += int(np.count_nonzero((y >= lo) & (y <= hi)))
         near += int(np.count_nonzero((abs(y - lo) < 1e-12) | (abs(y - hi) < 1e-12)))
     return hits, near
+
+
+def _float64_values(coef, seed, n):
+    """Slab values of all n draws as the batch kernel summed them before its
+    float32 screen: every point in float64, 2^-33 sum(coef) plus row after
+    row of coef_i 2^-32 k_i, in row order."""
+    m = coef.size
+    step = coef * 2.0**-32
+    mid = math.fsum(coef) * 2.0**-33
+    values = []
+    for index, offset in enumerate(range(0, n, BATCH)):
+        size = min(BATCH, n - offset)
+        raw = np.random.PCG64(seed).jumped(index).random_raw((m * size + 1) // 2)
+        k = raw.astype("<u8").view("<u4")[: m * size].reshape(m, size)
+        y = np.full(size, mid)
+        term = np.empty(size)
+        for i in range(m):
+            np.multiply(k[i], step[i], out=term)
+            y += term
+        values.append(y)
+    return np.concatenate(values)
+
+
+def _ulps(x, count):
+    """x moved by count float64 ulps, up when count > 0."""
+    for _ in range(abs(count)):
+        x = float(np.nextafter(x, math.copysign(math.inf, count)))
+    return x
 
 
 def _scales(spec):
@@ -287,3 +316,89 @@ class TestLatticeKernel:
             parallel.worker_count()
         with pytest.raises(InvalidInputError, match="HYPERSLICE_THREADS"):
             mc_section_volume(_ODD_SPEC, _ODD_N, seed=0)
+
+    @pytest.mark.parametrize("raw", ["257", "100000"])
+    def test_thread_count_above_ceiling_rejected(self, monkeypatch, raw):
+        # every batch is submitted at once and the pool starts a thread per
+        # submission up to its size, so a huge value would start thousands
+        # of threads; it is refused before any pool is built
+        def no_pool(max_workers):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(parallel, "_pool", None)
+        monkeypatch.setattr(parallel, "_pool_threads", 0)
+        monkeypatch.setenv("HYPERSLICE_THREADS", raw)
+        with pytest.raises(InvalidInputError, match="HYPERSLICE_THREADS"):
+            parallel.worker_count()
+        with pytest.raises(InvalidInputError, match="HYPERSLICE_THREADS"):
+            mc_section_volume(_ODD_SPEC, _ODD_N, seed=0)
+
+    def test_thread_count_ceiling_accepted(self, monkeypatch):
+        monkeypatch.setenv("HYPERSLICE_THREADS", "256")
+        assert parallel.worker_count() == 256
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**63 + 9])
+    def test_jump_step_is_numpys(self, seed):
+        # a batch's stream is the seed's state advanced by index * _JUMP;
+        # _JUMP copies numpy's internal jump step, so this fails if numpy
+        # changes what jumped() does
+        for index in (0, 1, 15, 2**32 + 5, 2**62):
+            bits = np.random.PCG64(0)
+            bits.state = np.random.PCG64(seed).state
+            bits.advance(index * montecarlo._JUMP)
+            assert bits.state == np.random.PCG64(seed).jumped(index).state
+
+    def test_batch_memory_independent_of_d(self, monkeypatch):
+        # besides the raw words, a batch holds the thread's two float32 rows
+        # (made once per thread) and O(2^16) bytes of temporaries, at any m
+        monkeypatch.setenv("HYPERSLICE_THREADS", "1")
+        for m in (3, 39):
+            coef = np.full(m, 0.1)
+            montecarlo._count_hits(coef, 0.1, 0.2, BATCH, 0)
+            tracemalloc.start()
+            try:
+                montecarlo._count_hits(coef, 0.1, 0.2, BATCH, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * m * BATCH + 4 * BATCH
+
+
+class TestFloat32Screen:
+    """_count_hits screens each batch in float32 and sums in float64 only
+    the points near a face: its count equals that of the float64 kernel
+    over every point, exactly."""
+
+    @pytest.mark.parametrize("n", [BATCH, BATCH + 5, _ODD_N])
+    @pytest.mark.parametrize("kind", ["section", "halfspace", "upper"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 39])
+    def test_equals_float64_kernel(self, m, kind, n):
+        rng = rng_for(700 + m)
+        coef = rng.uniform(0.05, 1.0, m)
+        seed = int(rng.integers(2**31))
+        for scale in (1.0, 2.0**-100):
+            c = coef * scale
+            y = _float64_values(c, seed, n)
+            ordered = np.sort(y)
+            for ulps in (0, 1, -1, 3, -3):
+                # faces on the float64 values of drawn points, a few ulps
+                # either side; "upper" puts hi beyond every point
+                lo = _ulps(float(ordered[n // 3]), -ulps)
+                hi = _ulps(float(ordered[2 * n // 3]), ulps)
+                if kind == "halfspace":
+                    lo = -math.inf
+                elif kind == "upper":
+                    hi = 3.0 * math.fsum(c)
+                expected = int(np.count_nonzero((y >= lo) & (y <= hi)))
+                assert montecarlo._count_hits(c, lo, hi, n, seed) == expected
+
+    def test_zero_and_tiny_coefficients(self):
+        # a zero row adds nothing; a 1e-35 row rounds to a subnormal or zero
+        # float32 step, which the screen's bound covers
+        coef = np.array([0.7, 0.0, 1e-35, 0.4])
+        y = _float64_values(coef, 5, _ODD_N)
+        ordered = np.sort(y)
+        for lo, hi in ((ordered[100], ordered[-100]), (-math.inf, ordered[_ODD_N // 2])):
+            expected = int(np.count_nonzero((y >= lo) & (y <= hi)))
+            assert montecarlo._count_hits(coef, float(lo), float(hi), _ODD_N, 5) == expected
