@@ -41,7 +41,6 @@ from .integral import (
     section_volume_integral,
     sinc_product_integrand,
     tail_bound,
-    tail_bound_sharp,
 )
 from .maximizer import (
     OptimizerReport,
@@ -102,5 +101,4 @@ __all__ = [
     "sinc_product_integrand",
     "star_volume",
     "tail_bound",
-    "tail_bound_sharp",
 ]

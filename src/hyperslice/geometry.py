@@ -76,7 +76,7 @@ class VolumeResult:
     """
 
     value: float
-    method: str  # vertex_sum | integral | monte_carlo | closed_form
+    method: str  # vertex_sum | integral
     err: float
     cut: CutClassification | None  # None: too many terms to count (countable_cut)
 
@@ -91,7 +91,11 @@ def make_section_spec(a_raw, t: float) -> SectionSpec:
 
     The direction is normalized to unit Euclidean length; the offset is then
     b = sum(a)/2 - t, so the hyperplane a.x = b lies at distance exactly t
-    from the cube center on the origin side.
+    from the cube center on the origin side.  The raw direction is first
+    scaled by the power of two that brings its largest coordinate into
+    [1/2, 1), so the norm neither overflows on huge coordinates nor
+    underflows on subnormal ones; the scaling is exact for every coordinate
+    it leaves a normal float.
     """
     a_raw = np.asarray(a_raw, dtype=float)
     if a_raw.ndim != 1 or a_raw.size < 2:
@@ -100,9 +104,11 @@ def make_section_spec(a_raw, t: float) -> SectionSpec:
         raise InvalidInputError("direction has non-finite coordinates")
     if np.any(a_raw < 0.0):
         raise InvalidInputError("direction coordinates must be nonnegative")
-    norm = float(np.linalg.norm(a_raw))
-    if norm == 0.0:
+    largest = float(np.max(a_raw))
+    if largest == 0.0:
         raise InvalidInputError("direction must be nonzero")
+    a_raw = np.ldexp(a_raw, -math.frexp(largest)[1])
+    norm = float(np.linalg.norm(a_raw))
     if not (t >= 0.0 and math.isfinite(t)):
         raise InvalidInputError("radius t must be a nonnegative real")
     a = a_raw / norm

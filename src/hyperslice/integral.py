@@ -7,8 +7,9 @@ The (d-1)-volume of the section {a.x = b} of [0,1]^d equals
 with sinc(x) = sin(x)/x, sinc(0) = 1, and t the distance from the hyperplane
 to the cube center.  The integrand is even, so twice the [0, N] integral is
 computed with adaptive Gauss panels.  The discarded tail obeys
-|integrand| <= min(1, 1/(m2 u^2)) where m2 is the product of the two smallest
-positive coordinates, which fixes the truncation point N; when that N is
+|integrand| <= 1/(m2 u^2), m2 the product of the two smallest positive
+coordinates, and with n >= 4 of them 1/(m u^(n-1)), m the product of the
+n-1 largest; the smaller N of the two is the truncation point.  When it is
 impractically large, integration stops at a moderate N and the remaining tail
 is evaluated in closed form through sine/cosine-integral recurrences applied
 to the product-to-sum expansion of the integrand.  Coordinates up to
@@ -16,9 +17,9 @@ TINY_COORD stay out of that expansion, whose scale 1/prod(a) would amplify
 the roundoff of nearly cancelling frequencies: sinc(e u) is the average of
 cos(s u) over s in [-e, e], so the tail is the closed form of the other
 coordinates averaged over shifted frequencies, which a few Gauss points
-evaluate.  Si and Ci are evaluated
-here (``_sici``) from their power series, their asymptotic series and the
-continued fraction of E1(ix) (Abramowitz & Stegun 5.2), so the module needs
+evaluate.  Si and Ci are evaluated here (``_sici``) from their power
+series, their asymptotic series and, in between, one continued fraction of
+E1(ix) per distinct argument (Abramowitz & Stegun 5.2), so the module needs
 numpy alone.
 """
 
@@ -84,6 +85,7 @@ def make_quadrature_config(spec: SectionSpec, abs_tol: float = 1e-9) -> Quadratu
     resulting N wins.  |sinc(x)| <= min(1, 1/|x|) bounds the product by
     1/(prod_J a_i u^|J|) for any subset J, so leaving out the smallest
     coordinate keeps one tiny coordinate from forcing the closed-form tail.
+    The config belongs to its spec (``section_volume_integral`` checks it).
     """
     if not abs_tol > 0.0:
         raise InvalidInputError("abs_tol must be positive")
@@ -93,14 +95,15 @@ def make_quadrature_config(spec: SectionSpec, abs_tol: float = 1e-9) -> Quadratu
         raise NonintegrableTailError(
             "the sinc-product integral needs at least two positive coordinates"
         )
-    norm = float(np.linalg.norm(spec.direction))
+    # what np.linalg.norm computes, without its call overhead
+    norm = math.sqrt(spec.direction.dot(spec.direction))
     m2 = float(a_pos[0] * a_pos[1])
     n_from_m2 = 4.0 * norm / (math.pi * m2 * abs_tol)
     candidates = [n_from_m2]
     m_tail = m2
     if n_pos >= 4:
         j = n_pos - 1
-        m_tail = float(np.prod(a_pos[-j:]))
+        m_tail = float(np.multiply.reduce(a_pos[-j:]))
         candidates.append(
             (4.0 * norm / (math.pi * m_tail * (j - 1) * abs_tol)) ** (1.0 / (j - 1))
         )
@@ -130,21 +133,18 @@ def sinc_product_integrand(a, omega: float, u):
 
 def tail_bound(cfg: QuadratureConfig, N: float) -> float:
     """Bound on the magnitude of the discarded |u| > N part of the volume
-    integral: 2 (||a||/pi) * Integral_N^inf du/(m2 u^2)."""
+    integral: 2 (||a||/pi) * Integral_N^inf du/(m2 u^2), or for n >= 4
+    positive coordinates the u^-(n-1) decay of the n-1 largest if smaller."""
     if not N > 0.0:
-        raise ValueError("N must be positive")
-    return 2.0 * cfg.norm / (math.pi * cfg.m2 * N)
-
-
-def tail_bound_sharp(cfg: QuadratureConfig, N: float) -> float:
-    """Tail bound from the u^-(n-1) decay of the n-1 largest of n >= 4
-    positive coordinates."""
-    if not N > 0.0:
-        raise ValueError("N must be positive")
-    if cfg.n_pos < 4:
-        return math.inf
-    j = cfg.n_pos - 1
-    return 2.0 * cfg.norm / (math.pi * cfg.m_tail * (j - 1) * N ** (j - 1))
+        raise InvalidInputError("N must be positive")
+    bound = 2.0 * cfg.norm / (math.pi * cfg.m2 * N)
+    if cfg.n_pos >= 4:
+        j = cfg.n_pos - 1
+        try:
+            bound = min(bound, 2.0 * cfg.norm / (math.pi * cfg.m_tail * (j - 1) * N ** (j - 1)))
+        except OverflowError:  # N^(n-2) past the float range: the m2 bound stands
+            pass
+    return bound
 
 
 def adaptive_panel_integral(f, lo, hi, abs_budget, max_panels=MAX_PANELS, max_width=None):
@@ -236,10 +236,10 @@ def _sici(x):
     x <= 4 sums the power series (its alternating terms stay below 4, so
     Horner keeps the error near eps); x >= 40 sums the asymptotic series
     of f and g, whose terms fall from 1; in between, E1(ix) = -Ci(x) +
-    i (Si(x) - pi/2) comes from its continued fraction, element by element:
-    it takes about 50 steps at x = 4 and 10 at x = 40, and the tail passes
-    few such x (the nearly cancelling frequencies), so a Python loop per
-    element beats an array loop that runs until the slowest one converges.
+    i (Si(x) - pi/2) comes from its continued fraction, once per distinct
+    x: it takes about 50 steps at x = 4 and 10 at x = 40, and the tail
+    passes few such x (the nearly cancelling frequencies), so a Python loop
+    beats an array loop that runs until the slowest x converges.
     """
     x = np.asarray(x, dtype=float)
     si = np.empty_like(x)
@@ -272,36 +272,11 @@ def _sici(x):
 
 
 def _e1_scaled(xs):
-    """e^(ix) E1(ix) for an array of x in (4, 40).
-
-    The continued fraction (``_e1_lentz``) runs once for each run of x
-    within 1/16 of its smallest, x0; the run's other members take a Taylor
-    step from x0 through h' = i h - 1/x, whose coefficients obey
-    c_n = (i c_(n-1) - (-1)^(n-1) / x0^n) / n.  Twelve terms leave a
-    remainder below 1e-22 for steps under 1/16.  Equal x recur in every
-    tail (|nu| and |-nu|), and tails averaged over tiny coordinates ask for
-    runs of nearly equal x.
-    """
-    order = np.argsort(xs, kind="stable").tolist()
-    vals = xs.tolist()
-    out = np.empty(len(vals), dtype=complex)
-    x0 = -math.inf
-    for i in order:
-        x = vals[i]
-        if x - x0 > 0.0625:
-            x0, h0, coef = x, _e1_lentz(x), None
-        if x == x0:
-            out[i] = h0
-            continue
-        if coef is None:
-            coef = [h0]
-            for n in range(1, 12):
-                coef.append((1j * coef[-1] - (-1.0) ** (n - 1) / x0**n) / n)
-        h, step = 0j, x - x0
-        for c in reversed(coef):
-            h = h * step + c
-        out[i] = h
-    return out
+    """e^(ix) E1(ix) for an array of x in (4, 40), by one continued fraction
+    (``_e1_lentz``) per distinct x: equal x recur in every tail, since
+    |nu| and |-nu| are the same argument."""
+    uniq, inverse = np.unique(xs, return_inverse=True)
+    return np.array([_e1_lentz(x) for x in uniq.tolist()], dtype=complex)[inverse]
 
 
 def _tail_integrals(nus, N, k):
@@ -456,14 +431,11 @@ def _tail_closed_form(a_pos, omega, N, tol=0.0):
     for i in np.flatnonzero(np.abs(nu0) < 1e-6 + 2.0 * reach).tolist():
         row = signs[i % base.size] * kept
         nu0[i] = math.fsum(np.concatenate([row, parts if i < base.size else -parts]))
-    if tiny.size == 0:
-        values, errs = _kept_tails(kept, nu0[:, None], N)
-        return float(values[0]), float(errs[0])
     # the kept tail has a kink or jump at every shift s that zeroes a
     # frequency: s = base - omega (a frequency -base - omega - s is the same)
     cuts = nu0[base.size:]
     cuts = cuts[np.abs(cuts) < reach]
-    if cuts.size:
+    if cuts.size:  # skip np.unique when empty: its first call imports numpy.ma
         cuts = np.unique(cuts)
     unit = 4.0 / (float(np.prod(kept)) * N ** (k - 1))
     shifts, weights, rule_err = _tiny_average_rule(tiny, cuts, k, N, tol / unit)
@@ -476,17 +448,16 @@ def _tail_closed_form(a_pos, omega, N, tol=0.0):
 def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = None) -> VolumeResult:
     """(d-1)-volume of the section via the sinc-product integral.
 
-    The quadrature never reads the vertex count: ``cut`` is None on a cut
-    with more grouped terms than ``classify_cut`` counts, and the value and
-    err are returned all the same."""
+    ``cfg`` must be ``make_quadrature_config(spec, cfg.abs_tol)``: another
+    spec's truncation leaves err no bound.  The quadrature never reads the
+    vertex count: ``cut`` is None on a cut with more grouped terms than
+    ``classify_cut`` counts, and the value and err are returned all the same."""
     if cfg is None:
         cfg = make_quadrature_config(spec)
+    elif cfg != make_quadrature_config(spec, cfg.abs_tol):
+        raise InvalidInputError("the quadrature config was made for another spec")
     a = spec.direction
     a_pos = np.sort(a[a > 0.0])
-    if a_pos.size < 2:
-        raise NonintegrableTailError(
-            "the sinc-product integral needs at least two positive coordinates"
-        )
     norm = cfg.norm
     # omega = 2 t ||a|| = sum(a) - 2 b (negative for b > sum(a)/2), taken from
     # the offset as the vertex sum does; its exact parts also go to the tail
@@ -510,6 +481,6 @@ def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = No
         value += 2.0 * prefactor * tail_val
         err += 2.0 * prefactor * tail_err
     else:
-        err += min(tail_bound(cfg, cfg.trunc_N), tail_bound_sharp(cfg, cfg.trunc_N))
+        err += tail_bound(cfg, cfg.trunc_N)
     return VolumeResult(value=max(value, 0.0), method="integral", err=err,
                         cut=countable_cut(spec))

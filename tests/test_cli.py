@@ -53,6 +53,17 @@ class TestVolumeCommand:
         assert code == 2
         assert "error" in err
 
+    def test_huge_direction_matches_diagonal(self, capsys):
+        # the norm of 1e200 coordinates overflowed, every coordinate became
+        # zero and the command exited 2
+        code, out, _ = run_cli(
+            capsys, "volume", "--d", "3", "--a", "1e200,1e200,1e200", "--t", "0.1"
+        )
+        assert code == 0
+        _, ref, _ = run_cli(capsys, "volume", "--d", "3", "--diagonal", "--t", "0.1")
+        value = json.loads(out)["results"][0]["value"]
+        assert value == pytest.approx(json.loads(ref)["results"][0]["value"], rel=1e-12)
+
     def test_negative_radius(self, capsys):
         code, _, _ = run_cli(capsys, "volume", "--d", "3", "--diagonal", "--t", "-1")
         assert code == 2

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,28 @@ class TestMakeSectionSpec:
     def test_invalid_inputs(self, a_raw, t):
         with pytest.raises(InvalidInputError):
             make_section_spec(a_raw, t)
+
+    def test_huge_coordinates_normalize(self):
+        # the norm of [1e308] * 3 overflowed and left an all-zero direction
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = make_section_spec([1e308] * 3, 0.1)
+        assert spec.direction.tolist() == make_section_spec([1, 1, 1], 0.1).direction.tolist()
+
+    def test_subnormal_coordinates_normalize(self):
+        # the norm of subnormal coordinates underflowed to zero and the
+        # direction was refused as zero
+        spec = make_section_spec([1e-320, 1e-320, 2e-320], 0.1)
+        assert np.allclose(spec.direction, np.array([1, 1, 2]) / math.sqrt(6), rtol=1e-3)
+        assert abs(np.linalg.norm(spec.direction) - 1.0) <= 1e-15
+
+    def test_power_of_two_scaling_keeps_the_direction(self):
+        rng = rng_for(13)
+        for _ in range(200):
+            a = rng.uniform(0.0, 1.0, size=int(rng.integers(2, 9)))
+            scale = 2.0 ** int(rng.integers(-900, 900))
+            assert np.array_equal(make_section_spec(a * scale, 0.2).direction,
+                                  make_section_spec(a, 0.2).direction)
 
     def test_direction_is_read_only(self):
         spec = make_section_spec([1, 2, 2], 0.3)

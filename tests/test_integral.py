@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hyperslice import integral
-from hyperslice.errors import ConvergenceError, NonintegrableTailError
+from hyperslice.errors import ConvergenceError, InvalidInputError, NonintegrableTailError
 from hyperslice.geometry import diagonal_section_spec, make_section_spec
 from hyperslice.integral import (
     TINY_COORD,
@@ -19,7 +19,6 @@ from hyperslice.integral import (
     section_volume_integral,
     sinc_product_integrand,
     tail_bound,
-    tail_bound_sharp,
 )
 from hyperslice.montecarlo import mc_section_volume
 from hyperslice.vertexsum import section_volume_vertex_sum
@@ -58,12 +57,16 @@ class TestIntegrand:
 
 
 class TestSici:
-    # log-spaced over the whole range, linear across the three branches, and
-    # the neighbouring floats of both branch points
+    # log-spaced over the whole range, linear across the three branches,
+    # the neighbouring floats of both branch points, and in the continued
+    # fraction's range (4, 40) exact repeats and runs 1e-6 to 1e-2 apart, as
+    # a tail asks for at |nu| and |-nu| and at shifts by tiny coordinates
     POINTS = np.concatenate([
         np.logspace(-10, 7, 120),
         np.linspace(0.01, 60, 240),
         [np.nextafter(x, side) for x in (4.0, 40.0) for side in (0.0, x, math.inf)],
+        np.add.outer([4.0 + 1e-9, 4.3, 9.87, 17.1, 31.4, 39.95],
+                     [0.0, 0.0, 1e-6, 3e-6, 1e-5, 1e-4, 1e-3, 1e-2]).ravel(),
     ])
 
     def test_matches_40_digit_reference(self):
@@ -90,8 +93,11 @@ class TestTailBounds:
         vals = [tail_bound(cfg, float(n)) for n in ns]
         assert all(x > y for x, y in zip(vals, vals[1:]))
         assert vals[-1] < 1e-8
-        sharp = [tail_bound_sharp(cfg, float(n)) for n in ns]
-        assert all(x > y for x, y in zip(sharp, sharp[1:]))
+
+    def test_large_n_at_high_dimension(self):
+        # N^(n-2) overflows a float at d = 40, N = 1e9; the m2 bound stands
+        cfg = make_quadrature_config(make_section_spec([1.0 + i / 64 for i in range(40)], 0.0))
+        assert tail_bound(cfg, 1e9) == pytest.approx(2 * cfg.norm / (math.pi * cfg.m2 * 1e9))
 
     def test_discarded_tail_within_bound(self):
         # actually integrate the tail and compare against the bound
@@ -101,7 +107,6 @@ class TestTailBounds:
         for n0 in (50.0, 200.0):
             val, err = _tail_closed_form(np.sort(spec.direction), omega, n0)
             assert abs(2 / math.pi * val) <= tail_bound(cfg, n0)
-            assert abs(2 / math.pi * val) <= tail_bound_sharp(cfg, n0)
 
 
 class TestClosedFormTail:
@@ -173,6 +178,16 @@ class TestSectionVolumeIntegral:
     def test_needs_two_positive_coordinates(self):
         with pytest.raises(NonintegrableTailError):
             section_volume_integral(make_section_spec([1, 0, 0], 0.2))
+
+    def test_refuses_config_of_another_spec(self):
+        # the config of [1, 2, 3, 4, 5] truncates [1, 2, 3] where its own
+        # bound says: off by 1.1e-9 against a reported err of 5.0e-10
+        spec = make_section_spec([1, 2, 3], 0.3)
+        other = make_quadrature_config(make_section_spec([1, 2, 3, 4, 5], 0.3))
+        with pytest.raises(InvalidInputError, match="another spec"):
+            section_volume_integral(spec, other)
+        own = section_volume_integral(spec, make_quadrature_config(spec, 1e-9))
+        assert own == section_volume_integral(spec)
 
     def test_convergence_error_on_tiny_budget(self, monkeypatch):
         monkeypatch.setattr(integral, "MAX_PANELS", 4)

@@ -205,6 +205,15 @@ class TestMaximize:
         assert rep.angle_to_diagonal < 1e-4
         assert rep.best_volume == pytest.approx(rep.diagonal_volume, rel=1e-9)
 
+    @pytest.mark.parametrize("t", [0.55, 0.6036, 0.62])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_d3_band_maximum_is_not_the_diagonal(self, t, seed):
+        # at d = 3 the band sqrt(d-2)/2 < t < sqrt(d-1)/2 lies outside the
+        # theorem: the 2-diagonal (1, 1, 0)/sqrt(2) beats the diagonal there
+        rep = maximize_section_volume(3, t, 16, seed)
+        assert rep.best_volume == pytest.approx(closed_form_max(2, t), rel=1e-8)
+        assert rep.best_volume / rep.diagonal_volume > 1.1
+
     def test_no_start_beats_diagonal(self):
         for seed in range(3):
             rep = maximize_section_volume(6, 1.1, starts=16, seed=seed)
