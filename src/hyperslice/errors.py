@@ -10,8 +10,9 @@ class InvalidInputError(HypersliceError, ValueError):
 
 
 class CapacityError(HypersliceError):
-    """The cut has more grouped vertex terms than one exact vertex walk
-    yields (``geometry.MAX_TERMS``)."""
+    """The cut needs more terms than one exact computation may build
+    (``geometry.MAX_TERMS``): grouped vertex terms of one vertex walk, or
+    frequencies of the integral route's closed-form tail."""
 
 
 class RegimeError(HypersliceError):

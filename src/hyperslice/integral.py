@@ -6,21 +6,21 @@ The (d-1)-volume of the section {a.x = b} of [0,1]^d equals
 
 with sinc(x) = sin(x)/x, sinc(0) = 1, and t the distance from the hyperplane
 to the cube center.  The integrand is even, so twice the [0, N] integral is
-computed with adaptive Gauss panels.  The discarded tail obeys
-|integrand| <= 1/(m2 u^2), m2 the product of the two smallest positive
-coordinates, and with n >= 4 of them 1/(m u^(n-1)), m the product of the
-n-1 largest; the smaller N of the two is the truncation point.  When it is
-impractically large, integration stops at a moderate N and the remaining tail
-is evaluated in closed form through sine/cosine-integral recurrences applied
-to the product-to-sum expansion of the integrand.  Coordinates up to
-TINY_COORD stay out of that expansion, whose scale 1/prod(a) would amplify
-the roundoff of nearly cancelling frequencies: sinc(e u) is the average of
-cos(s u) over s in [-e, e], so the tail is the closed form of the other
-coordinates averaged over shifted frequencies, which a few Gauss points
-evaluate.  Si and Ci are evaluated here (``_sici``) from their power
-series, their asymptotic series and, in between, one continued fraction of
-E1(ix) per distinct argument (Abramowitz & Stegun 5.2), so the module needs
-numpy alone.
+computed with adaptive Gauss-Kronrod 7/15 panels, error |K15 - G7|.  The
+discarded tail obeys |integrand| <= 1/(m2 u^2), m2 the product of the two
+smallest positive coordinates, and with n >= 4 of them 1/(m u^(n-1)), m the
+product of the n-1 largest; the smaller N of the two is the truncation
+point.  When it is impractically large, integration stops at a moderate N
+and the remaining tail is evaluated in closed form through sine/cosine-
+integral recurrences applied to the product-to-sum expansion of the
+integrand.  Coordinates up to TINY_COORD stay out of that expansion, whose
+scale 1/prod(a) would amplify the roundoff of nearly cancelling
+frequencies: sinc(e u) is the average of cos(s u) over s in [-e, e], so
+the tail is the closed form of the other coordinates averaged over shifted
+frequencies, which a few Gauss points evaluate.  Si and Ci are evaluated
+here (``_sici``) from their power series, their asymptotic series and, in
+between, one continued fraction of E1(ix) per distinct argument (Abramowitz
+& Stegun 5.2), so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, NonintegrableTailError
-from .geometry import SectionSpec, VolumeResult, ZERO_COORD_TOL, countable_cut
+from .errors import CapacityError, ConvergenceError, InvalidInputError, NonintegrableTailError
+from .geometry import MAX_TERMS, SectionSpec, VolumeResult, ZERO_COORD_TOL, countable_cut
 
 _EPS = float(np.finfo(float).eps)
 
@@ -44,11 +44,29 @@ TRUNC_CAP = 4096.0
 #: Truncation point used when the closed-form tail takes over.
 ANALYTIC_TAIL_N = 256.0
 
-#: Gauss panels the integral route may refine to before it gives up.
+#: Panels the integral route may refine to before it gives up.
 MAX_PANELS = 200_000
 
-_GAUSS_LO = np.polynomial.legendre.leggauss(7)
-_GAUSS_HI = np.polynomial.legendre.leggauss(15)
+#: Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK's QK15): columns are the
+#: 15 Kronrod nodes, their Kronrod weights, and the 7-point Gauss weights,
+#: which sit on every second node and are zero elsewhere.
+_QK15 = np.array([
+    [-0.99145537112081263921, 0.02293532201052922496, 0.0],
+    [-0.94910791234275852453, 0.06309209262997855329, 0.12948496616886969327],
+    [-0.86486442335976907279, 0.10479001032225018384, 0.0],
+    [-0.74153118559939443986, 0.14065325971552591875, 0.27970539148927666790],
+    [-0.58608723546769113029, 0.16900472663926790283, 0.0],
+    [-0.40584515137739716691, 0.19035057806478540991, 0.38183005050511894495],
+    [-0.20778495500789846760, 0.20443294007529889241, 0.0],
+    [0.0, 0.20948214108472782801, 0.41795918367346938776],
+    [0.20778495500789846760, 0.20443294007529889241, 0.0],
+    [0.40584515137739716691, 0.19035057806478540991, 0.38183005050511894495],
+    [0.58608723546769113029, 0.16900472663926790283, 0.0],
+    [0.74153118559939443986, 0.14065325971552591875, 0.27970539148927666790],
+    [0.86486442335976907279, 0.10479001032225018384, 0.0],
+    [0.94910791234275852453, 0.06309209262997855329, 0.12948496616886969327],
+    [0.99145537112081263921, 0.02293532201052922496, 0.0],
+])
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -72,7 +90,7 @@ class QuadratureConfig:
     m2: float
     analytic_tail: bool
     n_pos: int
-    m_tail: float
+    log_m_tail: float
     norm: float
 
 
@@ -85,6 +103,7 @@ def make_quadrature_config(spec: SectionSpec, abs_tol: float = 1e-9) -> Quadratu
     resulting N wins.  |sinc(x)| <= min(1, 1/|x|) bounds the product by
     1/(prod_J a_i u^|J|) for any subset J, so leaving out the smallest
     coordinate keeps one tiny coordinate from forcing the closed-form tail.
+    That bound is taken in logs, since m underflows from d of about 280 up.
     The config belongs to its spec (``section_volume_integral`` checks it).
     """
     if not abs_tol > 0.0:
@@ -100,13 +119,12 @@ def make_quadrature_config(spec: SectionSpec, abs_tol: float = 1e-9) -> Quadratu
     m2 = float(a_pos[0] * a_pos[1])
     n_from_m2 = 4.0 * norm / (math.pi * m2 * abs_tol)
     candidates = [n_from_m2]
-    m_tail = m2
+    log_m_tail = math.log(m2)
     if n_pos >= 4:
         j = n_pos - 1
-        m_tail = float(np.multiply.reduce(a_pos[-j:]))
-        candidates.append(
-            (4.0 * norm / (math.pi * m_tail * (j - 1) * abs_tol)) ** (1.0 / (j - 1))
-        )
+        log_m_tail = float(np.log(a_pos[-j:]).sum())
+        candidates.append(math.exp(
+            (math.log(4.0 * norm / (math.pi * (j - 1) * abs_tol)) - log_m_tail) / (j - 1)))
     trunc = max(min(candidates), 1.0)
     analytic = trunc > TRUNC_CAP
     if analytic:
@@ -117,7 +135,7 @@ def make_quadrature_config(spec: SectionSpec, abs_tol: float = 1e-9) -> Quadratu
         m2=m2,
         analytic_tail=analytic,
         n_pos=n_pos,
-        m_tail=m_tail,
+        log_m_tail=log_m_tail,
         norm=norm,
     )
 
@@ -134,25 +152,29 @@ def sinc_product_integrand(a, omega: float, u):
 def tail_bound(cfg: QuadratureConfig, N: float) -> float:
     """Bound on the magnitude of the discarded |u| > N part of the volume
     integral: 2 (||a||/pi) * Integral_N^inf du/(m2 u^2), or for n >= 4
-    positive coordinates the u^-(n-1) decay of the n-1 largest if smaller."""
+    positive coordinates the u^-(n-1) decay of the n-1 largest if smaller,
+    taken in logs since N^(n-2) and their product leave the float range."""
     if not N > 0.0:
         raise InvalidInputError("N must be positive")
     bound = 2.0 * cfg.norm / (math.pi * cfg.m2 * N)
     if cfg.n_pos >= 4:
         j = cfg.n_pos - 1
-        try:
-            bound = min(bound, 2.0 * cfg.norm / (math.pi * cfg.m_tail * (j - 1) * N ** (j - 1)))
-        except OverflowError:  # N^(n-2) past the float range: the m2 bound stands
-            pass
+        log_sharp = (math.log(2.0 * cfg.norm / (math.pi * (j - 1)))
+                     - cfg.log_m_tail - (j - 1) * math.log(N))
+        if log_sharp < math.log(bound):
+            bound = math.exp(log_sharp)
     return bound
 
 
 def adaptive_panel_integral(f, lo, hi, abs_budget, max_panels=MAX_PANELS, max_width=None):
-    """Integrate f over [lo, hi] by bisection-refined Gauss panels.
+    """Integrate f over [lo, hi] by bisection-refined Gauss-Kronrod 7/15
+    panels, error |K15 - G7|.
 
-    f must accept a 1-d node array.  A panel's error is estimated as the
-    difference between its 15-point and 7-point Gauss values; panels are
-    bisected until the estimates sum below abs_budget.  Returns
+    f must accept a 1-d node array; each refinement round calls it once, on
+    the 15 Kronrod nodes of every new panel, which contain the 7 Gauss
+    nodes.  A panel's value is its 15-point Kronrod value K15 and its error
+    estimate |K15 - G7|, G7 the 7-point Gauss value; panels are bisected
+    until the estimates sum below abs_budget.  Returns
     (value, err_estimate, n_panels); the final summation order is fixed by
     panel position, so results are reproducible.
     """
@@ -191,18 +213,15 @@ def adaptive_panel_integral(f, lo, hi, abs_budget, max_panels=MAX_PANELS, max_wi
 
 
 def _panel_rule(f, los, his):
-    """15-point Gauss values and |G15 - G7| estimates for a batch of panels."""
+    """15-point Kronrod values and |K15 - G7| estimates for a batch of
+    panels, from one call of f on all their nodes."""
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
-    x15, w15 = _GAUSS_HI
-    x7, w7 = _GAUSS_LO
-    nodes15 = mid[:, None] + half[:, None] * x15[None, :]
-    nodes7 = mid[:, None] + half[:, None] * x7[None, :]
-    f15 = f(nodes15.ravel()).reshape(nodes15.shape)
-    f7 = f(nodes7.ravel()).reshape(nodes7.shape)
-    g15 = half * (f15 @ w15)
-    g7 = half * (f7 @ w7)
-    return g15, np.abs(g15 - g7)
+    nodes = mid[:, None] + half[:, None] * _QK15[:, 0]
+    f15 = f(nodes.ravel()).reshape(nodes.shape)
+    k15 = half * (f15 @ _QK15[:, 1])
+    g7 = half * (f15 @ _QK15[:, 2])
+    return k15, np.abs(k15 - g7)
 
 
 def _horner(coeffs, z):
@@ -415,13 +434,19 @@ def _tail_closed_form(a_pos, omega, N, tol=0.0):
     ``_tiny_average_rule`` evaluates at a few points, the fewer the larger
     the allowed rule error ``tol``.  The err adds the roundoff of every
     evaluation and the rule's error, in units of the kept tail's derivative
-    scale 4 N^n / (N^(k-1) prod a).
+    scale 4 N^n / (N^(k-1) prod a).  The expansion has 2^(k+1)
+    frequencies, and raises CapacityError before building them when that
+    exceeds ``geometry.MAX_TERMS``.
     """
     parts = np.atleast_1d(np.asarray(omega, dtype=float))
     omega = math.fsum(parts)
     tiny = a_pos[a_pos <= TINY_COORD]
     kept = a_pos[a_pos > TINY_COORD]
     k = kept.size
+    if 2 ** (k + 1) > MAX_TERMS:
+        raise CapacityError(
+            f"the closed-form tail of {k} coordinates has 2^{k + 1} frequencies, "
+            f"more than {MAX_TERMS}")
     signs = _sign_patterns(k)[0]
     base = signs @ kept
     nu0 = np.concatenate([base + omega, base - omega])
@@ -451,7 +476,9 @@ def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = No
     ``cfg`` must be ``make_quadrature_config(spec, cfg.abs_tol)``: another
     spec's truncation leaves err no bound.  The quadrature never reads the
     vertex count: ``cut`` is None on a cut with more grouped terms than
-    ``classify_cut`` counts, and the value and err are returned all the same."""
+    ``classify_cut`` counts, and the value and err are returned all the same.
+    A closed-form tail past its term cap raises CapacityError before any
+    panel is evaluated."""
     if cfg is None:
         cfg = make_quadrature_config(spec)
     elif cfg != make_quadrature_config(spec, cfg.abs_tol):
@@ -470,17 +497,16 @@ def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = No
         return sinc_product_integrand(a_pos, omega, u)
 
     budget = cfg.abs_tol * math.pi / (4.0 * norm)
+    tail_val = tail_err = 0.0
+    if cfg.analytic_tail:  # before the panels, so a tail past its cap fails fast
+        # the tail may spend a thousandth of the budget on its tiny coordinates
+        tail_val, tail_err = _tail_closed_form(a_pos, omega_parts, cfg.trunc_N, 1e-3 * budget)
     part, qerr, _ = adaptive_panel_integral(
         f, 0.0, cfg.trunc_N, budget, max_panels=MAX_PANELS, max_width=half_period
     )
-    value = 2.0 * prefactor * part
-    err = 2.0 * prefactor * qerr
-    if cfg.analytic_tail:
-        # the tail may spend a thousandth of the budget on its tiny coordinates
-        tail_val, tail_err = _tail_closed_form(a_pos, omega_parts, cfg.trunc_N, 1e-3 * budget)
-        value += 2.0 * prefactor * tail_val
-        err += 2.0 * prefactor * tail_err
-    else:
+    value = 2.0 * prefactor * part + 2.0 * prefactor * tail_val
+    err = 2.0 * prefactor * qerr + 2.0 * prefactor * tail_err
+    if not cfg.analytic_tail:
         err += tail_bound(cfg, cfg.trunc_N)
     return VolumeResult(value=max(value, 0.0), method="integral", err=err,
                         cut=countable_cut(spec))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -7,7 +8,12 @@ import numpy as np
 import pytest
 
 from hyperslice import integral
-from hyperslice.errors import ConvergenceError, InvalidInputError, NonintegrableTailError
+from hyperslice.errors import (
+    CapacityError,
+    ConvergenceError,
+    InvalidInputError,
+    NonintegrableTailError,
+)
 from hyperslice.geometry import diagonal_section_spec, make_section_spec
 from hyperslice.integral import (
     TINY_COORD,
@@ -20,6 +26,7 @@ from hyperslice.integral import (
     sinc_product_integrand,
     tail_bound,
 )
+from hyperslice.maximizer import closed_form_max
 from hyperslice.montecarlo import mc_section_volume
 from hyperslice.vertexsum import section_volume_vertex_sum
 
@@ -95,9 +102,15 @@ class TestTailBounds:
         assert vals[-1] < 1e-8
 
     def test_large_n_at_high_dimension(self):
-        # N^(n-2) overflows a float at d = 40, N = 1e9; the m2 bound stands
-        cfg = make_quadrature_config(make_section_spec([1.0 + i / 64 for i in range(40)], 0.0))
-        assert tail_bound(cfg, 1e9) == pytest.approx(2 * cfg.norm / (math.pi * cfg.m2 * 1e9))
+        # N^(n-2) overflows a float at d = 40, N = 1e9; in logs the bound of
+        # the 39 largest coordinates stands, far below the m2 bound
+        spec = make_section_spec([1.0 + i / 64 for i in range(40)], 0.0)
+        cfg = make_quadrature_config(spec)
+        largest = np.sort(spec.direction)[1:]
+        exact = 2 * mpmath.mpf(cfg.norm) / (
+            mpmath.pi * mpmath.fprod(largest.tolist()) * 38 * mpmath.mpf(1e9) ** 38)
+        assert tail_bound(cfg, 1e9) == pytest.approx(float(exact), rel=1e-9)
+        assert tail_bound(cfg, 1e9) < 1e-300 * 2 * cfg.norm / (math.pi * cfg.m2 * 1e9)
 
     def test_discarded_tail_within_bound(self):
         # actually integrate the tail and compare against the bound
@@ -107,6 +120,35 @@ class TestTailBounds:
         for n0 in (50.0, 200.0):
             val, err = _tail_closed_form(np.sort(spec.direction), omega, n0)
             assert abs(2 / math.pi * val) <= tail_bound(cfg, n0)
+
+
+class TestHighDimension:
+    @pytest.mark.parametrize("d", [280, 300, 400])
+    def test_deep_diagonal_cut(self, d):
+        # the product of the n-1 largest coordinates underflows from d of
+        # about 280 up; the truncation point is taken in logs
+        t = 0.3 * math.sqrt(d)
+        res = section_volume_integral(diagonal_section_spec(d, t))
+        assert res.err <= 1e-8
+        assert abs(res.value - closed_form_max(d, t)) <= res.err
+
+    def test_distinct_coordinates_at_d250(self):
+        # a subnormal product once sent the truncation point to inf and the
+        # closed-form tail into 2^249 sign patterns
+        spec = make_section_spec(rng_for(250).random(250) + 0.5, 7.0)
+        assert not make_quadrature_config(spec).analytic_tail
+        res = section_volume_integral(spec)
+        assert 0.0 <= res.value <= res.err <= 1e-8
+
+    def test_closed_form_tail_past_cap_fails_fast(self):
+        # every coordinate is kept and N > TRUNC_CAP: 2^23 frequencies
+        a = np.array([1.0] + [2e-4] * 21)
+        spec = make_section_spec(a, 0.3 * float(np.sum(a / np.linalg.norm(a))))
+        assert make_quadrature_config(spec).analytic_tail
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            section_volume_integral(spec)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestClosedFormTail:
@@ -297,7 +339,7 @@ class TestAdaptivePanels:
 
     def test_refinement_does_not_increase_error(self):
         # above the rounding floor, halving the panel width shrinks the
-        # G15-vs-G7 discrepancy on every panel
+        # |K15 - G7| estimate on every panel
         a = [0.45, 0.55, 0.7]
 
         def f(u):
@@ -308,6 +350,44 @@ class TestAdaptivePanels:
             _, err, _ = adaptive_panel_integral(f, 0.0, 64.0, math.inf, max_width=width)
             errs.append(err)
         assert all(x >= y for x, y in zip(errs, errs[1:]))
+
+    def test_one_call_per_round_on_kronrod_nodes(self):
+        calls = []
+
+        def f(u):
+            calls.append(u.copy())
+            return np.cos(5.0 * u)
+
+        lo, hi = 0.2, 3.0
+        _, _, n_panels = adaptive_panel_integral(f, lo, hi, 1e-12)
+        sizes = [u.size for u in calls]
+        assert len(sizes) > 2 and all(s % 30 == 0 for s in sizes[1:])
+        # one panel, then one call per round on both halves of each split one
+        assert sizes[0] == 15 and n_panels == 1 + sum(sizes[1:]) // 30
+        x7, _ = np.polynomial.legendre.leggauss(7)
+        gauss = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x7
+        assert np.abs(np.subtract.outer(calls[0], gauss)).min(axis=0).max() <= 1e-15
+
+    def test_panel_rule_degrees(self):
+        # one panel [-0.5, 1.5]: nodes 0.5 + x on the reference nodes x
+        x7, w7 = np.polynomial.legendre.leggauss(7)
+
+        def rule(p):
+            value, err = integral._panel_rule(lambda u: u**p, np.array([-0.5]), np.array([1.5]))
+            exact = (1.5 ** (p + 1) - (-0.5) ** (p + 1)) / (p + 1)
+            g7 = w7 @ (0.5 + x7) ** p
+            return value[0], err[0], exact, g7
+
+        # K15 is exact through degree 22 and G7 through degree 13; the error
+        # estimate is |K15 - G7|
+        for p in (13, 22):
+            value, err, exact, g7 = rule(p)
+            assert value == pytest.approx(exact, rel=1e-14)
+            assert err == pytest.approx(abs(value - g7), rel=1e-9, abs=1e-13)
+        _, err13, exact13, _ = rule(13)
+        assert err13 <= 1e-13 * exact13
+        value, _, exact, _ = rule(24)
+        assert abs(value - exact) > 1e-9
 
     def test_known_integral(self):
         val, err, _ = adaptive_panel_integral(np.cos, 0.0, 1.0, 1e-12, max_width=0.3)
