@@ -41,7 +41,7 @@ class CutKind(str, Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SectionSpec:
     """A hyperplane section of [0,1]^d, immutable after construction.
 
@@ -61,13 +61,13 @@ class SectionSpec:
         self.direction.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutClassification:
     count_below: int
     kind: CutKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VolumeResult:
     """A volume value together with how it was obtained.
 

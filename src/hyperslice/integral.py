@@ -21,6 +21,9 @@ frequencies, which a few Gauss points evaluate.  Si and Ci are evaluated
 here (``_sici``) from their power series, their asymptotic series and, in
 between, one continued fraction of E1(ix) per distinct argument (Abramowitz
 & Stegun 5.2), so the module needs numpy alone.
+
+The panels evaluate the integrand one coordinate at a time as
+sin(a_i u)/(a_i u), with node-length scratch at any d.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .errors import CapacityError, ConvergenceError, InvalidInputError, Noninteg
 from .geometry import MAX_TERMS, SectionSpec, VolumeResult, ZERO_COORD_TOL, countable_cut
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 #: Largest truncation point integrated entirely with panels; bounds requiring
 #: more are handled by the closed-form tail.
@@ -83,7 +87,7 @@ _AUX_SERIES = np.array(
      for k in range(20)], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureConfig:
     abs_tol: float
     trunc_N: float
@@ -141,12 +145,28 @@ def make_quadrature_config(spec: SectionSpec, abs_tol: float = 1e-9) -> Quadratu
 
 
 def sinc_product_integrand(a, omega: float, u):
-    """prod_i sinc(a_i u) * cos(omega u), with sinc(0) = 1; even in u."""
-    a = np.asarray(a, dtype=float)
+    """prod_i sinc(a_i u) * cos(omega u), with sinc(0) = 1; even in u.
+
+    The product is taken one coordinate at a time as sin(y)/y, y = |a_i u|,
+    in two reused node-length buffers beside the result, so the scratch is
+    three node-length vectors at any d.  Taking |omega u| and |a_i u| makes
+    the result exactly even.  y below the smallest normal float is raised
+    to it, where sin(y)/y is exactly 1 as sinc is at y = 0, so u = 0,
+    a_i = 0 and an underflowing a_i u divide by no zero.
+    """
     u_arr = np.asarray(u, dtype=float)
-    prods = np.prod(np.sinc(np.multiply.outer(u_arr, a) / np.pi), axis=-1)
-    out = prods * np.cos(omega * u_arr)
-    return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+    x = u_arr.reshape(-1)
+    y = np.multiply(x, omega)
+    out = np.cos(np.absolute(y, out=y))
+    s = np.empty_like(y)
+    for a_i in np.asarray(a, dtype=float).tolist():
+        np.multiply(x, a_i, out=y)
+        np.absolute(y, out=y)
+        np.maximum(y, _TINY, out=y)
+        np.sin(y, out=s)
+        s /= y
+        out *= s
+    return float(out[0]) if u_arr.ndim == 0 else out.reshape(u_arr.shape)
 
 
 def tail_bound(cfg: QuadratureConfig, N: float) -> float:

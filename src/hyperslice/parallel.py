@@ -9,22 +9,27 @@ the results are reduced as exact integer counts in a fixed order, so
 thread scheduling never changes an output bit.
 
 The pool lives for the whole process.  It is built on the first call that
-runs threaded (importing this module starts no thread) and rebuilt only
-when worker_count() changes between calls; the old pool finishes the tasks
-already given to it.  A child process made by fork starts without a pool,
-since the parent's worker threads do not exist in it.
+runs threaded (importing this module starts no thread and does not import
+concurrent.futures) and rebuilt only when worker_count() changes between
+calls; the old pool finishes the tasks already given to it.  A child
+process made by fork starts without a pool, since the parent's worker
+threads do not exist in it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidInputError
 
+#: concurrent.futures' pool class, imported by the first threaded call:
+#: that module loads logging, queue and traceback, which a process that
+#: never runs threaded does not need.
+ThreadPoolExecutor = None
+
 _lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
+_pool = None
 _pool_threads = 0
 _MAX_THREADS = 256
 
@@ -56,13 +61,15 @@ if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
 
 def ordered_map(fn, items):
     """Map preserving input order, threaded when the pool allows it."""
-    global _pool, _pool_threads
+    global ThreadPoolExecutor, _pool, _pool_threads
     items = list(items)
     threads = worker_count()
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with _lock:
         if _pool_threads != threads:
+            if ThreadPoolExecutor is None:
+                from concurrent.futures import ThreadPoolExecutor
             if _pool is not None:
                 _pool.shutdown(wait=False)
             _pool, _pool_threads = ThreadPoolExecutor(max_workers=threads), threads

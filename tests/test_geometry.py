@@ -21,6 +21,7 @@ from hyperslice.geometry import (
     make_section_spec,
     vertex_terms,
 )
+from hyperslice.integral import make_quadrature_config
 from hyperslice.vertexsum import section_volume_vertex_sum
 
 from conftest import rng_for, random_unit_direction
@@ -132,6 +133,14 @@ class TestMakeSectionSpec:
         spec = make_section_spec([1, 2, 2], 0.3)
         with pytest.raises(ValueError):
             spec.direction[0] = 5.0
+
+    def test_results_have_no_instance_dict(self):
+        # a per-instance dict would add to every spec and result a caller
+        # keeps
+        spec = make_section_spec([1, 2, 2], 0.3)
+        for obj in (spec, classify_cut(spec), section_volume_vertex_sum(spec),
+                    make_quadrature_config(spec)):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 class TestCoordinateHelpers:
