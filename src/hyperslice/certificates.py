@@ -35,7 +35,7 @@ MAX_BOXES = 1024
 _CLAIMS = {"lead_coeff": (1, 0, 0), "slope_at_one": (2, 1, 0), "value_at_one": (1, 1, 1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadCoeffs:
     d: int
     y: float
@@ -44,7 +44,7 @@ class QuadCoeffs:
     c0: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateReport:
     d: int
     grid_size: int

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -73,11 +74,13 @@ def dim_range(text: str) -> tuple[int, int]:
 
 
 def radius_grid(text: str) -> np.ndarray:
-    """``--t-range lo:hi:n``, n evenly spaced radii from lo to hi."""
+    """``--t-range lo:hi:n``, n evenly spaced radii from lo to hi, both
+    finite; a negative radius is refused where it is used."""
     lo, hi, n = text.split(":")
-    if int(n) < 1 or float(hi) < float(lo):
+    lo, hi, n = float(lo), float(hi), int(n)
+    if n < 1 or not -math.inf < lo <= hi < math.inf:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
-    return np.linspace(float(lo), float(hi), int(n))
+    return np.linspace(lo, hi, n)
 
 
 _CONFIG = _Parser(add_help=False)
@@ -180,20 +183,19 @@ def _cut_payload(cut) -> dict | None:
 def cmd_volume(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     method = args.method
-    results = []
+    rows = []  # (method, value, err, cut)
     if method in ("sum", "all"):
         r = section_volume_vertex_sum(spec)
-        results.append({"method": "vertex_sum", "value": float(r.value),
-                        "err": float(r.err), "cut": _cut_payload(r.cut)})
+        rows.append((r.method, r.value, r.err, r.cut))
     if method in ("integral", "all"):
-        cfg = make_quadrature_config(spec, abs_tol=args.tol)
-        r = section_volume_integral(spec, cfg)
-        results.append({"method": "integral", "value": float(r.value),
-                        "err": float(r.err), "cut": _cut_payload(r.cut)})
+        r = section_volume_integral(spec, make_quadrature_config(spec, abs_tol=args.tol))
+        rows.append((r.method, r.value, r.err, r.cut))
     if method in ("mc", "all"):
+        # err is a 1-sigma standard error (plus the lattice bias bound), not an error bound
         est, stderr = mc_section_volume(spec, n=args.mc_n, seed=args.seed)
-        results.append({"method": "monte_carlo", "value": float(est),
-                        "err": float(stderr), "cut": _cut_payload(countable_cut(spec))})
+        rows.append(("monte_carlo", est, stderr, countable_cut(spec)))
+    results = [{"method": m, "value": float(value), "err": float(err), "cut": _cut_payload(cut)}
+               for m, value, err, cut in rows]
     payload = {
         "spec": {
             "d": spec.dim,
@@ -210,21 +212,10 @@ def cmd_volume(args: argparse.Namespace) -> int:
 def cmd_maximize(args: argparse.Namespace) -> int:
     rep = maximize_section_volume(args.d, args.t,
                                   starts=args.starts, seed=args.seed)
-    payload = {
-        "d": args.d,
-        "t": float(args.t),
-        "best_direction": [float(x) for x in rep.best_direction],
-        "best_volume": float(rep.best_volume),
-        "diagonal_volume": float(rep.diagonal_volume),
-        "angle_to_diagonal": float(rep.angle_to_diagonal),
-        "multiplier": float(rep.multiplier),
-        "residual_norm": float(rep.residual_norm),
-        "starts": rep.starts,
-        "converged_starts": rep.converged_starts,
-        "infeasible_starts": rep.infeasible_starts,
-        "capped_starts": rep.capped_starts,
-        "iterations": rep.iterations,
-    }
+    payload = {"d": args.d, "t": float(args.t)}
+    for field in dataclasses.fields(rep):
+        value = getattr(rep, field.name)
+        payload[field.name] = value.tolist() if isinstance(value, np.ndarray) else value
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -236,18 +227,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
     blocks = []
     for d in range(lo, hi + 1):
         rep = sign_certificates(d, grid)
-        maxima = {
-            "lead_coeff": rep.max_lead_coeff,
-            "slope_at_one": rep.max_slope_at_one,
-            "value_at_one": rep.max_value_at_one,
-        }
         claims = {}
         for name, threshold in CLAIM_THRESHOLDS.items():
-            asserted = d >= threshold
-            ok = maxima[name] < 0.0
-            if asserted and not ok:
-                claim_failed = True
-            claims[name] = {"asserted": asserted, "max": float(maxima[name]), "ok": ok}
+            peak = float(getattr(rep, f"max_{name}"))
+            claims[name] = {"asserted": d >= threshold, "max": peak, "ok": peak < 0.0}
         block = {
             "d": d,
             "grid_size": rep.grid_size,
@@ -260,23 +243,18 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 float(r) for r in roots if r >= 1.0
             ]
         if args.rigorous:
-            certified = certify_signs_rigorous(d)
-            if any(claims[name]["asserted"] and not ok for name, ok in certified.items()):
-                claim_failed = True
-            block["certified"] = certified
+            block["certified"] = certify_signs_rigorous(d)
+        claim_failed |= any(c["asserted"] and not c["ok"] for c in claims.values())
+        claim_failed |= any(claims[name]["asserted"] and not ok
+                            for name, ok in block.get("certified", {}).items())
         blocks.append(block)
     decay = []
     for d in range(max(lo, 5), hi + 1):
-        band_lo = math.sqrt(d - 2) / 2.0
-        band_hi = math.sqrt(d - 1) / 2.0
-        holds_all = True
-        min_gap = math.inf
-        for t in np.linspace(band_lo, band_hi, 100):
-            lhs, rhs, holds = decay_inequality_check(d, float(t))
-            holds_all &= holds
-            min_gap = min(min_gap, lhs - rhs)
-        decay.append({"d": d, "points": 100, "holds_all": bool(holds_all),
-                      "min_gap": float(min_gap)})
+        band = np.linspace(math.sqrt(d - 2) / 2.0, math.sqrt(d - 1) / 2.0, 100)
+        checks = [decay_inequality_check(d, float(t)) for t in band]
+        decay.append({"d": d, "points": len(checks),
+                      "holds_all": all(holds for _, _, holds in checks),
+                      "min_gap": float(min(lhs - rhs for lhs, rhs, _ in checks))})
     print(json.dumps({"certificates": blocks, "decay": decay}, indent=2))
     return EXIT_CLAIM_FAILED if claim_failed else EXIT_OK
 
@@ -311,8 +289,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 spec = make_section_spec(direction, t)
                 diag = np.full(d, 1.0 / math.sqrt(d))
                 angle = math.acos(float(np.clip(spec.direction @ diag, -1.0, 1.0)))
-            cut = classify_cut(spec)
-            row = [closed, section_volume_vertex_sum(spec).value, angle]
+            r = section_volume_vertex_sum(spec)
+            cut = r.cut
+            row = [closed, r.value, angle]
         writer.writerow([d, fmt(t)] + [fmt(x) for x in row]
                         + [cut.count_below, cut.kind.value])
     sys.stdout.write(out.getvalue())

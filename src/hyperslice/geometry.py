@@ -86,6 +86,13 @@ def coordinate_sum(x) -> float:
     return math.fsum(np.asarray(x, dtype=float))
 
 
+def check_radius(t: float) -> float:
+    """t as a float, or InvalidInputError unless it is finite and >= 0."""
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise InvalidInputError("radius t must be a nonnegative real")
+    return float(t)
+
+
 def make_section_spec(a_raw, t: float) -> SectionSpec:
     """Build a SectionSpec from a raw (unnormalized) direction and radius.
 
@@ -109,11 +116,10 @@ def make_section_spec(a_raw, t: float) -> SectionSpec:
         raise InvalidInputError("direction must be nonzero")
     a_raw = np.ldexp(a_raw, -math.frexp(largest)[1])
     norm = float(np.linalg.norm(a_raw))
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise InvalidInputError("radius t must be a nonnegative real")
+    t = check_radius(t)
     a = a_raw / norm
     b = coordinate_sum(a) / 2.0 - t
-    return SectionSpec(dim=a.size, direction=a, radius=float(t), offset=b)
+    return SectionSpec(dim=a.size, direction=a, radius=t, offset=b)
 
 
 def diagonal_section_spec(d: int, t: float) -> SectionSpec:
@@ -125,19 +131,19 @@ def diagonal_section_spec(d: int, t: float) -> SectionSpec:
     """
     if d < 2:
         raise InvalidInputError("dimension must be at least 2")
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise InvalidInputError("radius t must be a nonnegative real")
+    t = check_radius(t)
     root = math.sqrt(d)
     a = np.full(d, 1.0 / root)
-    return SectionSpec(dim=d, direction=a, radius=float(t), offset=root / 2.0 - t)
+    return SectionSpec(dim=d, direction=a, radius=t, offset=root / 2.0 - t)
 
 
 class IntegerCut(NamedTuple):
     """The cut {a.x <= b} written exactly in integers.
 
-    ``coords`` are the distinct coordinates of a in ascending order and
-    ``mults`` their multiplicities; ``values[g] == coords[g] * 2**exp`` and
-    ``offset == b * 2**exp`` are integers, with one common exponent.
+    ``coords`` are the distinct positive coordinates of a in ascending
+    order and ``mults`` their multiplicities; ``values[g] == coords[g] *
+    2**exp`` and ``offset == b * 2**exp`` are integers, with one common
+    exponent.
     """
 
     coords: list
@@ -148,12 +154,17 @@ class IntegerCut(NamedTuple):
 
 
 def integer_cut(a, b: float) -> IntegerCut:
-    """Group equal coordinates of a and scale them and b to integers.
+    """Group the equal positive coordinates of a and scale them and b to
+    integers.
 
-    Every float is a dyadic rational, so ``float.as_integer_ratio`` gives
-    it exactly as p / 2^k; the common denominator is the largest 2^k.
+    A zero coordinate leaves the cut: the vertices below it come in pairs
+    that differ only there and share their gap, so each zero doubles the
+    count below and moves no gap, and the caller shifts its count left by
+    the ``len(a) - sum(mults)`` zeros.  Every float is a dyadic rational,
+    so ``float.as_integer_ratio`` gives it exactly as p / 2^k; the common
+    denominator is the largest 2^k.
     """
-    xs = np.asarray(a, dtype=float).tolist()
+    xs = [x for x in np.asarray(a, dtype=float).tolist() if x > 0.0]
     coords = sorted(set(xs))
     nums, dens = zip(*map(float.as_integer_ratio, coords + [float(b)]))
     den = max(dens)
@@ -234,12 +245,15 @@ def classify_cut(spec: SectionSpec) -> CutClassification:
     """Count and classify the cube vertices on the near side of the hyperplane.
 
     Tie vertices (a.v == b) count as below.  The count is exact and comes
-    from one grouped walk (``vertex_terms``), which never lists vertices:
-    a cut with few distinct coordinates costs few terms at any dimension.
+    from one grouped walk (``vertex_terms``) over the positive coordinates,
+    which never lists vertices: a cut with few distinct positive
+    coordinates costs few terms at any dimension, and each zero coordinate
+    doubles the count without a walk.
     """
     a, b = spec.direction, spec.offset
-    count = sum(abs(weight) for weight, _, _ in vertex_terms(integer_cut(a, b)))
-    return classify_count(a, b, count)
+    cut = integer_cut(a, b)
+    count = sum(abs(weight) for weight, _, _ in vertex_terms(cut))
+    return classify_count(a, b, count << a.size - sum(cut.mults))
 
 
 def countable_cut(spec: SectionSpec) -> CutClassification | None:

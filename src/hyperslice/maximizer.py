@@ -38,6 +38,7 @@ from .geometry import (
     CutKind,
     IntegerCut,
     SectionSpec,
+    check_radius,
     classify_cut,
     integer_cut,
     vertex_terms,
@@ -78,8 +79,7 @@ def closed_form_max(d: int, t: float) -> float:
     """
     if d < 2:
         raise InvalidInputError("d must be at least 2")
-    if not t >= 0.0:
-        raise InvalidInputError("radius t must be a nonnegative real")
+    t = check_radius(t)
     gap = math.sqrt(d) / 2.0 - t
     if gap <= 0.0:
         return 0.0
@@ -315,7 +315,9 @@ def maximize_section_volume(
     Start 0 is the diagonal and the others are the rows of
     ``_draw_starts``, in the cap sum(a)/2 > t.  A start still
     ascending after ``MAX_ITERATIONS`` is capped, and one whose volume is
-    0 from the start (rounding at t near sqrt(d)/2) is infeasible.  All
+    0 from the start (rounding at t near sqrt(d)/2, and every start once
+    t >= sqrt(d)/2) is infeasible, so the three counts add up to
+    ``starts`` at every t.  All
     starts ascend together (``_ascend``), in the band t > sqrt(d-2)/2 on
     the star form (``_star_objective``) and below it on the exact walk
     (``_walk_objective``).  Start i depends on (d, t, seed, i) alone, and
@@ -329,15 +331,14 @@ def maximize_section_volume(
         raise InvalidInputError("need at least one start")
     if not 0 <= seed < 2**128:
         raise InvalidInputError("seed must lie in [0, 2^128), the Philox key range")
-    if not t >= 0.0:
-        raise InvalidInputError("radius t must be a nonnegative real")
+    t = check_radius(t)
     diag = np.full(d, 1.0 / math.sqrt(d))
     diag.setflags(write=False)
     if t >= math.sqrt(d) / 2.0:
         return OptimizerReport(
             best_direction=diag, best_volume=0.0, diagonal_volume=0.0,
             angle_to_diagonal=0.0, multiplier=0.0, residual_norm=0.0,
-            starts=starts, converged_starts=0, infeasible_starts=0,
+            starts=starts, converged_starts=0, infeasible_starts=starts,
             capped_starts=0, iterations=0,
         )
     # refused before closed_form_max, whose exact sum is slow for deep cuts

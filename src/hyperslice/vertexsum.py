@@ -38,30 +38,27 @@ def _vertex_sum(a, b, excess):
 
         sum_v (-1)^|v| (b - a.v)^p / (p! prod(a)),   p = n - 1 + excess,
 
-    with a, v and the product restricted to the n nonzero coordinates:
+    with a, v and the product restricted to the n positive coordinates:
     excess 0 gives the section volume over ||a||, excess 1 the half-space
     volume.  A zero coordinate factors the section as a cartesian product
-    with [0,1], so dropping it leaves the volume unchanged; a tiny nonzero
+    with [0,1], so it leaves the volume unchanged and only doubles the
+    count; ``integer_cut`` leaves it out before the walk.  A tiny nonzero
     one is kept, since the sum is exact at any scale.  value is its one
     correctly rounded division.
     """
     cut = integer_cut(a, b)
-    dropped = int(cut.coords[0] == 0.0)
-    n = sum(cut.mults[dropped:])
+    n = sum(cut.mults)
     if n == 0:
         raise InvalidInputError("direction reduces to dimension 0")
     power = n - 1 + excess
     count = total = 0
-    for weight, gap, takes in vertex_terms(cut):
+    for weight, gap, _ in vertex_terms(cut):
         count += abs(weight)
-        if not any(takes[:dropped]):
-            total += weight * gap**power
-    den = math.factorial(power) * math.prod(
-        map(pow, cut.values[dropped:], cut.mults[dropped:])
-    )
+        total += weight * gap**power
+    den = math.factorial(power) * math.prod(map(pow, cut.values, cut.mults))
     # with a = A / 2^E and b = B / 2^E the sum is total / 2^(E p) and
     # prod(a) = prod(A) / 2^(E n)
-    return count, (total << cut.exp * (n - power)) / den
+    return count << a.size - n, (total << cut.exp * (n - power)) / den
 
 
 def section_volume_vertex_sum(spec: SectionSpec) -> VolumeResult:

@@ -1,11 +1,15 @@
+import ast
+import dataclasses
 import json
 import math
+import pathlib
+import warnings
 
 import pytest
 
 from hyperslice.cli import main
 from hyperslice.geometry import make_section_spec
-from hyperslice.maximizer import closed_form_max, maximize_section_volume
+from hyperslice.maximizer import OptimizerReport, closed_form_max, maximize_section_volume
 from hyperslice.vertexsum import section_volume_vertex_sum
 
 
@@ -129,8 +133,12 @@ class TestMaximizeCommand:
         code, out, _ = run_cli(capsys, "maximize", "--d", "5", "--t", "1.2",
                                "--starts", "4")
         assert code == 0
-        assert json.loads(out)["best_volume"] == 0.0
-        assert json.loads(out)["iterations"] == 0
+        payload = json.loads(out)
+        assert payload["best_volume"] == 0.0
+        assert payload["iterations"] == 0
+        # the counts add up to starts at every radius
+        assert payload["infeasible_starts"] == 4
+        assert payload["converged_starts"] == payload["capped_starts"] == 0
 
     def test_too_small_radius_is_invalid(self, capsys):
         code, _, _ = run_cli(capsys, "maximize", "--d", "5", "--t", "0.3")
@@ -402,6 +410,21 @@ class TestMalformedValues:
         assert code == 2 and out == ""
         assert err == message
 
+    @pytest.mark.parametrize("argv", [
+        ("maximize", "--d", "5", "--t", "inf"),
+        ("scan", "--d", "5", "--t-range", "0.9:inf:3"),
+        ("scan", "--d", "5", "--t-range", "-inf:1:3"),
+        ("scan", "--d", "5", "--t-range", "nan:1:3"),
+    ], ids=["maximize_t", "scan_hi", "scan_lo", "scan_nan"])
+    def test_infinite_radius(self, capsys, argv):
+        # finite and >= 0, as the spec constructors ask, before any grid
+        # arithmetic can warn
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and not caught
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_trailing_comma_in_a(self, capsys):
         # one --a parser: scan takes the trailing comma as volume does
         code, out, _ = run_cli(capsys, "volume", "--d", "3", "--a", "0.2,0.5,0.7,",
@@ -413,3 +436,33 @@ class TestMalformedValues:
         assert code == 0
         row = out.strip().split("\n")[1].split(",")
         assert float(row[3]) == pytest.approx(value, rel=1e-11)
+
+
+def _bench_cli_commands():
+    """``CLI_COMMANDS`` of the benchmark harness, read without importing it
+    (it imports scipy)."""
+    tree = ast.parse((pathlib.Path(__file__).parents[1] / "bench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "CLI_COMMANDS" for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no CLI_COMMANDS")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name, argv", sorted(_bench_cli_commands().items()))
+def test_benchmark_cli_commands(capsys, name, argv):
+    # the benchmark times these commands and counts a nonzero exit as a
+    # failed item, so each must run and print what its reader parses
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if argv[0] == "scan":
+        assert out.splitlines()[0] == "d,t,V_closed,V_best,angle,count_below,kind"
+        return
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    if argv[0] == "maximize":
+        names = [field.name for field in dataclasses.fields(OptimizerReport)]
+        assert list(payload) == ["d", "t", *names]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import irwinhall
 
 from hyperslice import geometry
+from hyperslice.certificates import default_y_grid, quad_coeffs, sign_certificates
 from hyperslice.errors import CapacityError, InvalidInputError
 from hyperslice.geometry import (
     CutKind,
@@ -139,7 +140,8 @@ class TestMakeSectionSpec:
         # keeps
         spec = make_section_spec([1, 2, 2], 0.3)
         for obj in (spec, classify_cut(spec), section_volume_vertex_sum(spec),
-                    make_quadrature_config(spec)):
+                    make_quadrature_config(spec), quad_coeffs(6, 0.5),
+                    sign_certificates(6, default_y_grid(100))):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 

@@ -78,6 +78,11 @@ class TestClosedFormMax:
         with pytest.raises(InvalidInputError):
             closed_form_max(6, -0.1)
 
+    def test_infinite_radius_rejected(self):
+        # the spec constructors' rule: finite and >= 0
+        with pytest.raises(InvalidInputError, match="nonnegative real"):
+            closed_form_max(6, math.inf)
+
     def test_strictly_decreasing_in_radius(self):
         for d in (3, 5, 9):
             ts = np.linspace(0.0, math.sqrt(d) / 2 * 0.999, 60)
@@ -224,6 +229,12 @@ class TestMaximize:
         assert rep.best_volume == 0.0
         assert rep.diagonal_volume == 0.0
 
+    @pytest.mark.parametrize("t", [math.sqrt(5) / 2, 1.2])
+    def test_degenerate_starts_add_up(self, t):
+        # every start has volume 0 once the hyperplane clears the cube
+        rep = maximize_section_volume(5, t, starts=8, seed=0)
+        assert (rep.infeasible_starts, rep.converged_starts, rep.capped_starts) == (8, 0, 0)
+
     def test_small_radius_rejected(self):
         with pytest.raises(InvalidInputError):
             maximize_section_volume(5, 0.4)
@@ -249,7 +260,7 @@ class TestMaximize:
         with pytest.raises(InvalidInputError, match="t > 1/2"):
             maximize_section_volume(1000, 0.3)
         assert time.perf_counter() - start < 0.5
-        for t in (float("nan"), -0.1):
+        for t in (float("nan"), -0.1, math.inf):
             with pytest.raises(InvalidInputError, match="nonnegative real"):
                 maximize_section_volume(5, t)
 

@@ -14,8 +14,11 @@ from hyperslice.errors import CellCrossingError, InvalidInputError, RegimeError
 from hyperslice.geometry import (
     ZERO_COORD_TOL,
     SectionSpec,
+    classify_cut,
     diagonal_section_spec,
+    integer_cut,
     make_section_spec,
+    vertex_terms,
 )
 from hyperslice.integral import section_volume_integral
 from hyperslice.maximizer import closed_form_max
@@ -159,6 +162,49 @@ class TestDeepCuts:
             ref = mpmath.fsum((-1) ** k * mpmath.binomial(d, k) * (x - k) ** d
                               for k in layers) / mpmath.factorial(d)
         assert half.value == pytest.approx(float(ref), rel=1e-12)
+
+
+class TestZeroCoordinates:
+    """A zero coordinate leaves the exact cut before the walk: the cut with
+    zeros is its positive part times [0,1]^zeros."""
+
+    @staticmethod
+    def padded(positive, zeros, b, rng):
+        """The positive part and the same direction with zeros at random
+        places, as specs with the same offset."""
+        a = np.insert(positive, rng.integers(0, positive.size + 1, size=zeros), 0.0)
+        return [SectionSpec(dim=x.size, direction=x, radius=math.fsum(x) / 2 - b, offset=b)
+                for x in (positive, a)]
+
+    def test_same_value_terms_and_doubled_count(self):
+        rng = rng_for(28)
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            pool = rng.uniform(0.05, 1.0, size=int(rng.integers(1, n + 1)))
+            positive = rng.choice(pool, size=n)  # repeated values
+            positive /= np.linalg.norm(positive)
+            zeros = int(rng.integers(1, 5))
+            b = float(rng.uniform(-0.05, math.fsum(positive) + 0.05))
+            base, spec = self.padded(positive, zeros, b, rng)
+            for route in (section_volume_vertex_sum, halfspace_volume):
+                want, got = route(base), route(spec)
+                assert (got.value, got.err) == (want.value, want.err)
+                assert got.cut.count_below == want.cut.count_below << zeros
+            assert classify_cut(spec).count_below == classify_cut(base).count_below << zeros
+            terms = [sum(1 for _ in vertex_terms(integer_cut(s.direction, b)))
+                     for s in (base, spec)]
+            assert terms[0] == terms[1]
+
+    def test_zeros_do_not_count_toward_max_terms(self):
+        # 16 distinct coordinates at t = 0 take about 2^15 terms; walking
+        # 8 zeros as a group multiplied them by 9, past MAX_TERMS
+        positive = np.linspace(0.3, 1.0, 16)
+        positive /= np.linalg.norm(positive)
+        b = math.fsum(positive) / 2
+        base, spec = self.padded(positive, 8, b, rng_for(29))
+        got = section_volume_vertex_sum(spec)
+        assert got.value == section_volume_vertex_sum(base).value
+        assert got.cut.count_below == classify_cut(base).count_below << 8
 
 
 @st.composite
