@@ -11,8 +11,9 @@ class InvalidInputError(HypersliceError, ValueError):
 
 class CapacityError(HypersliceError):
     """The cut needs more terms than one exact computation may build
-    (``geometry.MAX_TERMS``): grouped vertex terms of one vertex walk, or
-    frequencies of the integral route's closed-form tail."""
+    (``geometry.MAX_TERMS``): grouped vertex terms of one vertex walk or of
+    both half-walks of a meet-in-the-middle join together, or frequencies
+    of the integral route's closed-form tail."""
 
 
 class RegimeError(HypersliceError):

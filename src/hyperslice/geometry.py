@@ -10,7 +10,9 @@ centered at ``(1/2, ..., 1/2)`` and cuts off the near half-space
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -23,9 +25,11 @@ from .errors import CapacityError, InvalidInputError
 #: formula requires strictly positive coordinates.
 ZERO_COORD_TOL = 1e-14
 
-#: Most grouped terms one vertex walk yields before it raises CapacityError.
-#: Distinct coordinates give one term per vertex, so every cut fits up to
-#: d = 18 (2^17 terms at t = 0).
+#: Most grouped terms one exact vertex sum walks before it raises
+#: CapacityError: the terms of one walk, or of both half-walks of a
+#: meet-in-the-middle join together (``vertex_sums``).  Distinct
+#: coordinates give one term per vertex, so every cut with them fits up to
+#: d = 34, where each half of 17 coordinates has at most 2^17 terms.
 MAX_TERMS = 1 << 18
 
 
@@ -173,7 +177,20 @@ def integer_cut(a, b: float) -> IntegerCut:
     return IntegerCut(coords, mults, ints[:-1], ints[-1], den.bit_length() - 1)
 
 
-def vertex_terms(cut: IntegerCut):
+def _least_terms(cut: IntegerCut) -> int:
+    """prod_g (m_g + 1) over the groups that fit below b whole, ascending
+    from the smallest value: every choice of k_g <= m_g from them is a
+    term, so a cut with b >= 0 has at least this many."""
+    room, least = cut.offset, 1
+    for value, m in zip(cut.values, cut.mults):
+        room -= value * m
+        if room < 0:
+            break
+        least *= m + 1
+    return least
+
+
+def vertex_terms(cut: IntegerCut, limit: int | None = None):
     """Yield (weight, gap, takes) for the cube vertices v with a.v <= b.
 
     A term stands for the vertices that take ``takes[g]`` of the
@@ -185,29 +202,26 @@ def vertex_terms(cut: IntegerCut):
     term's children each take one more coordinate from its last nonzero
     group or a later one, and the ascending values stop the scan at the
     first group that no longer fits.  A sum over the terms is exact, and
-    its cost grows with the number of terms, not of vertices.  It raises
-    CapacityError once more than MAX_TERMS terms are yielded, or before the
-    first when the groups that fit below b whole give more: every choice
-    of k_g <= m_g from them is a term, prod_g (m_g + 1) in all.
+    its cost grows with the number of terms, not of vertices.  It is the
+    only vertex walk: ``vertex_sums`` runs it once on the whole cut or on
+    each half of a join.  It raises CapacityError once more than ``limit``
+    terms (default ``MAX_TERMS``) are yielded, or before the first when
+    the groups that fit below b whole give more (``_least_terms``).
     """
     if cut.offset < 0:
         return
+    limit = MAX_TERMS if limit is None else limit
     values, mults = cut.values, cut.mults
-    room, least = cut.offset, 1
-    for value, m in zip(values, mults):
-        room -= value * m
-        if room < 0:
-            break
-        least *= m + 1
+    least = _least_terms(cut)
     stack = [(cut.offset, 1, (0,) * len(values), 0)]
     # past the cap the bound stands in for the count: refused before a term
-    yielded = least - 1 if least > MAX_TERMS else 0
+    yielded = least - 1 if least > limit else 0
     while stack:
         gap, weight, takes, last = stack.pop()
         yielded += 1
-        if yielded > MAX_TERMS:
+        if yielded > limit:
             raise CapacityError(
-                f"more than {MAX_TERMS} grouped vertex terms lie below the cut"
+                f"the cut needs more than {MAX_TERMS} grouped vertex terms"
             )
         yield weight, gap, takes
         for g in range(last, len(values)):
@@ -218,6 +232,78 @@ def vertex_terms(cut: IntegerCut):
                 # (-1)^(k+1) C(m, k+1) = -(-1)^k C(m, k) (m - k) / (k + 1), exactly
                 stack.append((gap - values[g], -weight * (mults[g] - k) // (k + 1),
                               takes[:g] + (k + 1,) + takes[g + 1:], g))
+
+
+def vertex_sums(cut: IntegerCut, power: int | None = None) -> tuple[int, int]:
+    """(count, total) for the cube vertices v with a.v <= b: count is their
+    number over the grouped coordinates, and total is
+    sum_v (-1)^|v| gap^power with gap = (b - a.v) * 2**exp, or 0 when power
+    is None.  Both are exact integers.
+
+    One rule, from the multiplicities alone, picks how.  Split the groups
+    at the k that makes Pi_L + Pi_R least, where Pi_L and Pi_R are the
+    products of m_g + 1 over groups [0, k) and [k, G): they bound the
+    terms of each half as Pi = Pi_L Pi_R bounds the whole.  The walk
+    (``vertex_terms``) takes the cut when Pi <= n (Pi_L + Pi_R), n = sum
+    m_g, and the join (``_join``) takes it otherwise.  Since Pi_L + Pi_R
+    >= 2 sqrt(Pi) and Pi <= 2^n, every cut with n <= 8 walks, and so does
+    a cut with few groups at any n.
+    """
+    n = sum(cut.mults)
+    whole = math.prod(m + 1 for m in cut.mults)
+    if whole > 4 * n * n:  # else n (Pi_L + Pi_R) >= 2 n sqrt(Pi) >= Pi
+        prefix = list(itertools.accumulate((m + 1 for m in cut.mults), operator.mul, initial=1))
+        k = min(range(len(prefix)), key=lambda k: prefix[k] + whole // prefix[k])
+        if whole > n * (prefix[k] + whole // prefix[k]):
+            return _join(cut, k, power)
+    if power is None:
+        return sum(abs(weight) for weight, _, _ in vertex_terms(cut)), 0
+    count = total = 0
+    for weight, gap, _ in vertex_terms(cut):
+        count += abs(weight)
+        total += weight * gap**power
+    return count, total
+
+
+def _join(cut: IntegerCut, k: int, power: int | None) -> tuple[int, int]:
+    """``vertex_sums`` by meeting in the middle at group k (Horowitz &
+    Sahni 1974).
+
+    Each half is walked at the full offset.  A left term with gap g and a
+    right term whose values sum to y make a vertex term below b exactly
+    when y <= g, and its gap is g - y.  So with the right terms sorted by
+    y, a sweep over the left terms in ascending g keeps the running sums
+    P_j = (-1)^j C(p, j) sum w_R y^j, j = 0..p, of the right terms with
+    y <= g, and each left term adds w_L sum_j P_j g^(p-j), by Horner in g;
+    the count adds |w_L| times the running sum of |w_R|.  Both halves
+    together hold at most MAX_TERMS terms: the left walk is refused before
+    its first term when its bound and the right one's exceed it, and the
+    right walk once the two lists would.
+    """
+    left = cut._replace(coords=cut.coords[:k], mults=cut.mults[:k], values=cut.values[:k])
+    right = cut._replace(coords=cut.coords[k:], mults=cut.mults[k:], values=cut.values[k:])
+    lefts = sorted((gap, weight) for weight, gap, _ in
+                   vertex_terms(left, MAX_TERMS - _least_terms(right)))
+    b = cut.offset
+    rights = sorted((b - gap, weight) for weight, gap, _ in
+                    vertex_terms(right, MAX_TERMS - len(lefts)))
+    binoms = [] if power is None else [(-1) ** j * math.comb(power, j) for j in range(power + 1)]
+    sums = [0] * len(binoms)
+    count = total = below = i = 0
+    for gap, weight in lefts:
+        while i < len(rights) and rights[i][0] <= gap:
+            y, w = rights[i]
+            i += 1
+            below += abs(w)
+            for j, c in enumerate(binoms):
+                sums[j] += c * w
+                w *= y
+        count += abs(weight) * below
+        acc = 0
+        for s in sums:
+            acc = acc * gap + s
+        total += weight * acc
+    return count, total
 
 
 _KIND_BY_COUNT = {0: CutKind.EMPTY, 1: CutKind.CORNER, 2: CutKind.EDGE, 3: CutKind.SQUARE3}
@@ -245,19 +331,21 @@ def classify_cut(spec: SectionSpec) -> CutClassification:
     """Count and classify the cube vertices on the near side of the hyperplane.
 
     Tie vertices (a.v == b) count as below.  The count is exact and comes
-    from one grouped walk (``vertex_terms``) over the positive coordinates,
-    which never lists vertices: a cut with few distinct positive
-    coordinates costs few terms at any dimension, and each zero coordinate
-    doubles the count without a walk.
+    from ``vertex_sums`` over the positive coordinates, which never lists
+    vertices: a cut with few distinct positive coordinates costs few
+    grouped terms at any dimension, many distinct ones cost the terms of
+    two half-walks, and each zero coordinate doubles the count without a
+    walk.  It raises CapacityError when the terms walked would exceed
+    ``MAX_TERMS``.
     """
     a, b = spec.direction, spec.offset
     cut = integer_cut(a, b)
-    count = sum(abs(weight) for weight, _, _ in vertex_terms(cut))
+    count, _ = vertex_sums(cut)
     return classify_count(a, b, count << a.size - sum(cut.mults))
 
 
 def countable_cut(spec: SectionSpec) -> CutClassification | None:
-    """``classify_cut(spec)``, or None when the walk would exceed
+    """``classify_cut(spec)``, or None when its count would walk more than
     ``MAX_TERMS`` grouped terms: for routes whose value does not rest on
     the count."""
     try:

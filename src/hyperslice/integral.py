@@ -495,8 +495,9 @@ def section_volume_integral(spec: SectionSpec, cfg: QuadratureConfig | None = No
 
     ``cfg`` must be ``make_quadrature_config(spec, cfg.abs_tol)``: another
     spec's truncation leaves err no bound.  The quadrature never reads the
-    vertex count: ``cut`` is None on a cut with more grouped terms than
-    ``classify_cut`` counts, and the value and err are returned all the same.
+    vertex count: ``cut`` is None on a cut whose count ``classify_cut``
+    refuses (more than ``MAX_TERMS`` grouped terms in its walk or
+    half-walks), and the value and err are returned all the same.
     A closed-form tail past its term cap raises CapacityError before any
     panel is evaluated."""
     if cfg is None:

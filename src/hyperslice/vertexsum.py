@@ -8,10 +8,11 @@ summed over the vertices v with a.v <= b, and the d-volume of the near
 half-space replaces the power d-1 by d and (d-1)! by d!.  Terms can exceed
 the result by many orders of magnitude for deep cuts, so the sums are
 formed exactly: every float is a dyadic rational, so the coordinates and
-the offset become integers over one power of two, and the grouped vertex
-walk of ``geometry.vertex_terms`` sums in Python integers.  The only
-roundings are the one division that turns the exact sum into a float and
-||a||, so ``err`` is a few ulps.
+the offset become integers over one power of two, and
+``geometry.vertex_sums`` sums in Python integers, by one grouped vertex
+walk or, for many distinct coordinates, by joining two half-walks.  The
+only roundings are the one division that turns the exact sum into a float
+and ||a||, so ``err`` is a few ulps.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from .geometry import (
     VolumeResult,
     classify_count,
     integer_cut,
-    vertex_terms,
+    vertex_sums,
 )
 
 
 def _vertex_sum(a, b, excess):
-    """One walk over the cube vertices v with a.v <= b.
+    """One exact sum over the cube vertices v with a.v <= b
+    (``geometry.vertex_sums``).
 
     Returns (count, value): count is the number of such vertices, every
     coordinate counted, and value is
@@ -51,10 +53,7 @@ def _vertex_sum(a, b, excess):
     if n == 0:
         raise InvalidInputError("direction reduces to dimension 0")
     power = n - 1 + excess
-    count = total = 0
-    for weight, gap, _ in vertex_terms(cut):
-        count += abs(weight)
-        total += weight * gap**power
+    count, total = vertex_sums(cut, power)
     den = math.factorial(power) * math.prod(map(pow, cut.values, cut.mults))
     # with a = A / 2^E and b = B / 2^E the sum is total / 2^(E p) and
     # prod(a) = prod(A) / 2^(E n)

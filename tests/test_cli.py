@@ -12,6 +12,8 @@ from hyperslice.geometry import make_section_spec
 from hyperslice.maximizer import OptimizerReport, closed_form_max, maximize_section_volume
 from hyperslice.vertexsum import section_volume_vertex_sum
 
+from conftest import random_unit_direction, rng_for
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -78,6 +80,14 @@ class TestVolumeCommand:
         code, _, err = run_cli(capsys, "volume", "--d", "40", "--a", coords, "--t", "0")
         assert code == 3
         assert "grouped vertex terms" in err
+
+    def test_distinct_d20_cut_counted(self, capsys):
+        # 2^19 vertices below the central cut: counted by two half-walks
+        coords = ",".join(map(repr, random_unit_direction(rng_for(20), 20).tolist()))
+        code, out, _ = run_cli(capsys, "volume", "--d", "20", "--a", coords, "--t", "0",
+                               "--method", "sum")
+        assert code == 0
+        assert json.loads(out)["results"][0]["cut"]["count"] == 524288
 
     @pytest.mark.parametrize("method", ["integral", "mc"])
     def test_uncountable_cut_prints_null(self, capsys, method):

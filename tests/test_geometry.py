@@ -1,12 +1,13 @@
 import itertools
 import math
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import irwinhall
 
@@ -199,6 +200,46 @@ class TestVerticesBelow:
         with pytest.raises(CapacityError, match=f"more than {geometry.MAX_TERMS} grouped"):
             next(walk)
 
+    def test_capacity_refused_fast_and_small(self):
+        # the 20 smaller coordinates fit below b together, 2^20 terms: the
+        # left walk is refused before its first term and the right never runs
+        spec = make_section_spec(random_unit_direction(rng_for(40), 40), 0.0)
+        for route in (classify_cut, section_volume_vertex_sum):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError):
+                route(spec)
+            assert time.perf_counter() - start < 0.01
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError):
+                    route(spec)
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            finally:
+                tracemalloc.stop()
+
+    def test_halves_share_the_cap(self, monkeypatch):
+        # 20 distinct coordinates at t = 0: no vertex on the plane, so the
+        # complement v -> 1 - v pairs the 2^20 vertices across it
+        spec = make_section_spec(random_unit_direction(rng_for(20), 20), 0.0)
+        cut = integer_cut(spec.direction, spec.offset)
+        splits = []
+        join = geometry._join
+        monkeypatch.setattr(geometry, "_join",
+                            lambda cut, k, power: splits.append(k) or join(cut, k, power))
+        monkeypatch.setattr(geometry, "MAX_TERMS", 1 << 11)
+        assert classify_cut(spec).count_below == 2**19
+        [k] = splits
+        halves = [cut._replace(values=cut.values[s], mults=cut.mults[s], coords=cut.coords[s])
+                  for s in (slice(k), slice(k, None))]
+        sizes = [sum(1 for _ in vertex_terms(half)) for half in halves]
+        monkeypatch.setattr(geometry, "MAX_TERMS", sum(sizes))
+        assert geometry.vertex_sums(cut) == (2**19, 0)
+        # each half fits, the two together do not
+        monkeypatch.setattr(geometry, "MAX_TERMS", sum(sizes) - 1)
+        assert max(sizes) <= geometry.MAX_TERMS
+        with pytest.raises(CapacityError):
+            geometry.vertex_sums(cut)
+
 
 class TestClassifyCut:
     def test_diagonal_corner(self):
@@ -281,6 +322,63 @@ def test_capacity_bound_never_exceeds_the_term_count(groups, b):
         patch.setattr(geometry, "MAX_TERMS", count - 1)
         with pytest.raises(CapacityError):
             list(vertex_terms(cut))
+
+
+@st.composite
+def grouped_cuts(draw):
+    """Cuts with repeated values, exact zeros, tiny coordinates and dyadic
+    ones, whose vertex levels are exact, with offsets anywhere or at the
+    level of a drawn vertex."""
+    pool = draw(st.lists(st.one_of(
+        st.integers(1, 64).map(lambda k: k / 64),
+        st.floats(0.01, 1.0),
+        st.floats(1e-12, 1e-5),
+    ), min_size=1, max_size=6))
+    a = draw(st.lists(st.one_of(st.sampled_from(pool), st.floats(0.01, 1.0), st.just(0.0)),
+                      min_size=1, max_size=12))
+    assume(any(a))
+    vertex = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+    level = math.fsum(x for x, v in zip(a, vertex) if v)
+    b = draw(st.one_of(st.just(level), st.floats(-0.1, math.fsum(a) + 0.1)))
+    return integer_cut(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grouped_cuts())
+def test_vertex_sums_match_the_walk(cut):
+    # the kernel, and the join at every split, against one direct walk
+    n = sum(cut.mults)
+    for power in (None, n - 1, n):
+        count = total = 0
+        for weight, gap, _ in vertex_terms(cut):
+            count += abs(weight)
+            total += 0 if power is None else weight * gap**power
+        assert geometry.vertex_sums(cut, power) == (count, total)
+        for k in range(len(cut.mults) + 1):
+            assert geometry._join(cut, k, power) == (count, total)
+
+
+def test_rule_walks_few_terms_and_joins_many(monkeypatch):
+    joined = []
+    join = geometry._join
+    monkeypatch.setattr(geometry, "_join",
+                        lambda cut, k, power: joined.append(cut) or join(cut, k, power))
+    rng = rng_for(29)
+    # any cut of at most 8 positive coordinates, the diagonal and two or
+    # three groups at any d take the walk
+    for d in range(2, 9):
+        classify_cut(make_section_spec(random_unit_direction(rng, d), 0.3))
+    for d in (14, 20, 40):
+        for groups in ([d], [d // 2, d - d // 2], [d // 3, d // 3, d - 2 * (d // 3)]):
+            a = np.repeat(1.0 + np.arange(len(groups)) / 100, groups)
+            spec = make_section_spec(a, 0.3 * math.sqrt(d))
+            section_volume_vertex_sum(spec)
+            classify_cut(spec)
+    assert joined == []
+    # distinct coordinates from d = 9 on meet in the middle
+    for d in (9, 12):
+        classify_cut(make_section_spec(random_unit_direction(rng, d), 0.3))
+    assert len(joined) == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -250,14 +250,19 @@ class TestSectionVolumeIntegral:
                 res = section_volume_integral(spec, cfg)
                 assert abs(res.value - vs.value) <= cfg.abs_tol + vs.err
 
-    @pytest.mark.parametrize("a", [
-        random_unit_direction(rng_for(20), 20),
-        [1.0 + i / 64 for i in range(40)],
-    ], ids=["d20", "d40"])
-    def test_uncountable_cut_keeps_its_value(self, a):
-        # distinct coordinates at t = 0 have more grouped vertex terms than
-        # classify_cut counts; the quadrature never reads the count
-        spec = make_section_spec(a, 0.0)
+    def test_distinct_d20_cut_is_counted(self):
+        # 2^19 vertices below t = 0 by complement symmetry, since none lies
+        # on the plane: the two half-walks of the join count them
+        spec = make_section_spec(random_unit_direction(rng_for(20), 20), 0.0)
+        res = section_volume_integral(spec)
+        exact = section_volume_vertex_sum(spec)
+        assert res.cut.count_below == exact.cut.count_below == 2**19
+        assert abs(res.value - exact.value) <= res.err + exact.err
+
+    def test_uncountable_cut_keeps_its_value(self):
+        # 40 distinct coordinates at t = 0 have more grouped vertex terms
+        # than classify_cut counts; the quadrature never reads the count
+        spec = make_section_spec([1.0 + i / 64 for i in range(40)], 0.0)
         res = section_volume_integral(spec)
         assert res.cut is None
         assert math.isfinite(res.value) and res.err < 1e-8
